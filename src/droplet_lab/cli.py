@@ -6,13 +6,14 @@ structured-text summary embedding the config, verdicts and key values.  With
 caching enabled an identical configuration is served bit-identically from the
 cache directory (flag, then DROPLET_LAB_CACHE, then ./results/cache).
 
-Exit codes: 0 all verdicts pass, 2 at least one verdict failed, 1 usage or
-configuration errors.
+Exit codes: 0 all verdicts pass, 2 at least one verdict failed, 3 no verdict
+was checked, 1 usage or configuration errors.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -28,6 +29,8 @@ from .errors import DropletLabError
 from .pipelines import PipelineResult, Table
 
 VERSION = "0.1.0"
+EXIT_NO_VERDICTS = 3
+NO_VERDICTS_NOTE = "no verdict was checked: this run verifies nothing"
 
 COMMANDS = (
     "spectrum",
@@ -76,12 +79,24 @@ class ResultRecord:
 
     @property
     def exit_code(self) -> int:
+        if not self.verdicts:
+            return EXIT_NO_VERDICTS
         return 0 if all(self.verdicts.values()) else 2
 
 
+@functools.cache
+def source_digest() -> str:
+    """SHA-256 over the package's source files, computed once per process on first use."""
+    digest = hashlib.sha256()
+    for path in sorted(Path(__file__).parent.glob("*.py")):
+        digest.update(path.name.encode() + b"\0" + path.read_bytes() + b"\0")
+    return digest.hexdigest()
+
+
 def canonical_config(command: str, options: dict) -> str:
+    """The serialization the cache key hashes: command, options, version and source digest."""
     return json.dumps(
-        {"command": command, "options": options, "version": VERSION},
+        {"command": command, "options": options, "version": VERSION, "source": source_digest()},
         sort_keys=True,
         separators=(",", ":"),
     )
@@ -424,7 +439,7 @@ def run(argv) -> int:
         config=options,
         verdicts=dict(result.verdicts),
         values=dict(result.values),
-        notes=tuple(result.notes),
+        notes=tuple(result.notes) + (() if result.verdicts else (NO_VERDICTS_NOTE,)),
         table_rows=len(result.table.rows),
     )
     summary_text = render_summary(record)
@@ -437,6 +452,8 @@ def run(argv) -> int:
         _atomic_write(cache_dir / csv_name, csv_text)
     for name in sorted(record.verdicts):
         print(f"{name}: {'PASS' if record.verdicts[name] else 'FAIL'}")
+    if not record.verdicts:
+        print(f"warning: {NO_VERDICTS_NOTE}", file=sys.stderr)
     print(f"record: {outdir / summary_name}")
     return record.exit_code
 

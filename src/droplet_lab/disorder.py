@@ -18,7 +18,7 @@ from .configspace import Config, Lattice, centered_cluster, enumerate_sector
 from .entanglement import centered_block, droplet_sup_entropy
 from .errors import DomainError
 from .hamiltonian import ModelParams, SectorMatrix, assemble_sector, field_diagonal
-from .spectral import DropletWindow, droplet_projector, eigensolve, sector_spectra
+from .spectral import DropletWindow, droplet_projector, eigensolve
 
 DISTRIBUTIONS = ("uniform", "bernoulli", "constant")
 TREND_TOL = 0.05
@@ -152,12 +152,13 @@ def dos_decay_experiment(
 ) -> DosDecayResult:
     """Disorder average of the windowed local density of states per probe.
 
-    For each sample the probed sectors are rediagonalized with the drawn
-    field; the fitted line of ln(mean) against the particle number yields the
-    decay rate with its standard error.  `window` is the compact energy set
-    of the averaged claim; it need not satisfy the droplet-window constraint,
-    and it should be wide enough that every probe's mean is sampled (probes
-    whose sampled mean is zero are dropped from the fit).
+    For each sample the probed sectors are solved with the drawn field for
+    their in-window eigenpairs; the fitted line of ln(mean) against the
+    particle number yields the decay rate with its standard error.  `window`
+    is the compact energy set of the averaged claim; it need not satisfy the
+    droplet-window constraint, and it should be wide enough that every
+    probe's mean is sampled (probes whose sampled mean is zero are dropped
+    from the fit).
     """
     if probes is None:
         probes = {n: centered_cluster(lattice, n) for n in range(1, 5)}
@@ -171,10 +172,8 @@ def dos_decay_experiment(
             basis = enumerate_sector(lattice, n)
             entries = base[n].entries + np.diag(field_diagonal(basis, field))
             shifted = SectorMatrix(basis=basis, entries=entries, hop_pairs=base[n].hop_pairs)
-            data = eigensolve(shifted)
-            w = data.eigenvalues
-            keep = (w >= -1e-12) & (w <= window.e_max + 1e-12)
-            row = data.eigenvectors[basis.index_of(tuple(probe)), keep]
+            data = eigensolve(shifted, window.e_max)
+            row = data.eigenvectors[basis.index_of(tuple(probe))]
             values[n][i] = float(row @ row)
     ns = tuple(sorted(probes))
     means = tuple(float(values[n].mean()) for n in ns)
@@ -259,8 +258,7 @@ def area_law_experiment(
     for i in range(spec.samples):
         field = draw_field(spec, i, lattice)
         params = _field_params(template, lattice, field)
-        spectra = sector_spectra(params, lattice)
-        projector = droplet_projector(params, lattice, window, spectra=spectra)
+        projector = droplet_projector(params, lattice, window)
         if projector.rank == 0:
             empty_count += 1
             values[i] = 1.0

@@ -20,7 +20,7 @@ import scipy.optimize
 
 from .configspace import Config, Lattice, cluster_decompose, enumerate_sector
 from .errors import DomainError, NumericError, VerificationError
-from .spectral import DropletProjector, DropletWindow, droplet_projector, sector_spectra
+from .spectral import DropletProjector, DropletWindow, droplet_projector
 from .hamiltonian import ModelParams
 from .states import AmplitudeMap
 
@@ -442,8 +442,7 @@ def entropy_scan(
     per-s envelope, s = min(n, |B|).
     """
     if projector is None:
-        spectra = sector_spectra(params, lattice)
-        projector = droplet_projector(params, lattice, window, spectra=spectra)
+        projector = droplet_projector(params, lattice, window)
     alphas = tuple(alphas)
     rows = []
     empty = tuple(

@@ -247,8 +247,7 @@ def dos_bound_pipeline(
     lattice = Lattice(L)
     params = ModelParams(delta_inv=delta_inv)
     window = auto_window(params, window_fraction)
-    spectra = sector_spectra(params, lattice)
-    projector = droplet_projector(params, lattice, window, spectra=spectra)
+    projector = droplet_projector(params, lattice, window)
     rows = []
     worst_pointwise = -math.inf
     envelope: dict[int, float] = {}
@@ -600,7 +599,7 @@ def evolve_entropy_pipeline(
         block_sizes = tuple(range(2, min(6, lattice.size - 2) + 1))
     block_sizes = tuple(block_sizes)
     spectra = sector_spectra(params, lattice)
-    projector = droplet_projector(params, lattice, window, spectra=spectra)
+    projector = droplet_projector(params, lattice, window)
     scan = entropy_scan(
         params, lattice, window, block_sizes, (1.0,), seed=seed,
         n_random=n_random, projector=projector,

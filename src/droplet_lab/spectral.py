@@ -1,11 +1,13 @@
 """Eigendecompositions, spectral windows, restricted resolvents, dynamics.
 
 Everything here works per particle-number sector: dense symmetric
-eigensolves, the lower-threshold checks for multi-cluster restrictions, the
-low-energy spectral projector and its diagonal (the local density of states),
-the positive-definite restricted Green's function, and phase evolution of
-amplitude maps.  Exponential-decay claims are reduced to least-squares fits
-on the log scale so they become falsifiable numbers.
+eigensolves (full, or only for the eigenpairs inside an energy window), the
+lower-threshold checks for multi-cluster restrictions, the spectral floors
+that let a window skip whole sectors, the low-energy spectral projector and
+its diagonal (the local density of states), the positive-definite restricted
+Green's function, and phase evolution of amplitude maps.  Exponential-decay
+claims are reduced to least-squares fits on the log scale so they become
+falsifiable numbers.
 """
 
 from __future__ import annotations
@@ -24,11 +26,31 @@ from .states import AmplitudeMap
 EIG_TOL = 1e-10
 SECTOR_DIM_CAP = 15_000
 EDGE_TIE_TOL = 1e-12
+# The windowed solve asks LAPACK for a slightly wider interval than the
+# closed window and then applies the window's own mask, so an eigenvalue on
+# the edge is kept or dropped exactly as a full solve would.
+WINDOW_PAD = 1e-9
+# A sector is skipped only when its spectral floor clears the window edge by
+# this much: the k=1 floor is attained up to rounding by field-free sectors.
+SKIP_MARGIN = 1e-9
+# Sign convention: the first entry above SIGN_TOL times the column's largest
+# magnitude is positive.  A plain argmax is not used because
+# reflection-symmetric states have mirrored maxima.
+SIGN_TOL = 1e-6
+
+
+def validity_limit(params: ModelParams) -> float:
+    """The two-cluster limit 2(1 - 3 delta_inv) that droplet windows must stay below."""
+    return 2.0 * (1.0 - 3.0 * params.delta_inv)
 
 
 @dataclass(frozen=True)
 class SpectralData:
-    """Ascending eigenvalues with the matching orthonormal eigenvector columns."""
+    """Ascending eigenvalues with the matching orthonormal eigenvector columns.
+
+    A full solve holds every eigenpair of `matrix`, a windowed solve only the
+    eigenpairs inside its window.  Columns are sign-canonical (SIGN_TOL).
+    """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
@@ -36,19 +58,34 @@ class SpectralData:
 
     @property
     def dim(self) -> int:
-        return len(self.eigenvalues)
+        """Dimension of the sector matrix that was solved."""
+        return self.matrix.dim
 
 
 _VALIDATE_FULL_DIM = 512
 _VALIDATE_COLUMNS = 32
 
 
-def eigensolve(matrix: SectorMatrix) -> SpectralData:
+def _canonical_signs(vectors: np.ndarray) -> np.ndarray:
+    """Flip columns in place so each one's first entry above SIGN_TOL x its
+    largest magnitude is positive."""
+    if vectors.size:
+        magnitude = np.abs(vectors)
+        first = np.argmax(magnitude > SIGN_TOL * magnitude.max(axis=0), axis=0)
+        vectors *= np.sign(vectors[first, np.arange(vectors.shape[1])])
+    return vectors
+
+
+def eigensolve(matrix: SectorMatrix, e_max: float | None = None) -> SpectralData:
     """Dense symmetric eigendecomposition, validated against EIG_TOL.
 
-    Small sectors are validated in full; above _VALIDATE_FULL_DIM the
-    residual and orthonormality checks run on a deterministic column subset
-    so validation stays cheaper than the solve itself.
+    With `e_max` only the eigenpairs in the closed window
+    [-EDGE_TIE_TOL, e_max + EDGE_TIE_TOL] are computed and returned.
+    Columns come back sign-canonical, so the full and the windowed solve give
+    the same vector for a non-degenerate eigenvalue.  Up to _VALIDATE_FULL_DIM
+    columns are validated in full; above it the residual and orthonormality
+    checks run on a deterministic column subset so validation stays cheaper
+    than the solve itself.
     """
     dim = matrix.dim
     if dim > SECTOR_DIM_CAP:
@@ -57,15 +94,27 @@ def eigensolve(matrix: SectorMatrix) -> SpectralData:
             "reduce L or the sector range"
         )
     try:
-        w, v = scipy.linalg.eigh(matrix.entries)
+        if e_max is None:
+            w, v = scipy.linalg.eigh(matrix.entries)
+        else:
+            lo, hi = -EDGE_TIE_TOL, e_max + EDGE_TIE_TOL
+            w, v = scipy.linalg.eigh(
+                matrix.entries, subset_by_value=(lo - WINDOW_PAD, hi + WINDOW_PAD)
+            )
+            keep = (w >= lo) & (w <= hi)
+            w, v = w[keep], v[:, keep]
     except scipy.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails
         raise NumericError(f"eigensolve failed to converge: {exc}") from exc
-    scale = max(1.0, float(np.abs(w).max(initial=0.0)))
-    if dim:
-        if dim <= _VALIDATE_FULL_DIM:
-            cols = np.arange(dim)
+    v = _canonical_signs(v)
+    # Row-sum norm: an upper bound on the spectral norm that a windowed solve
+    # cannot read off its own eigenvalues.
+    scale = max(1.0, float(np.abs(matrix.entries).sum(axis=1).max(initial=0.0)))
+    count = len(w)
+    if count:
+        if count <= _VALIDATE_FULL_DIM:
+            cols = np.arange(count)
         else:
-            cols = np.random.default_rng(dim).choice(dim, _VALIDATE_COLUMNS, replace=False)
+            cols = np.random.default_rng(count).choice(count, _VALIDATE_COLUMNS, replace=False)
         sub = v[:, cols]
         residual = np.abs(matrix.entries @ sub - sub * w[cols]).max()
         ortho = np.abs(sub.T @ sub - np.eye(len(cols))).max()
@@ -175,16 +224,13 @@ class DropletWindow:
         if self.e_max < 0:
             raise DomainError(f"window edge must be >= 0, got {self.e_max}")
 
-    def limit_for(self, params: ModelParams) -> float:
-        return 2.0 * (1.0 - 3.0 * params.delta_inv)
-
     def is_valid_for(self, params: ModelParams) -> bool:
-        return self.e_max < self.limit_for(params)
+        return self.e_max < validity_limit(params)
 
 
 def auto_window(params: ModelParams, fraction: float = 0.9) -> DropletWindow:
     """Window at `fraction` of the two-cluster validity limit 2(1 - 3 delta_inv)."""
-    limit = 2.0 * (1.0 - 3.0 * params.delta_inv)
+    limit = validity_limit(params)
     if limit <= 0:
         raise DomainError(
             f"no valid window: 2(1 - 3*delta_inv) = {limit!r} <= 0 at "
@@ -200,7 +246,6 @@ class SectorSelection:
     n: int
     eigenvalues: np.ndarray
     vectors: np.ndarray  # dim x count, columns aligned with eigenvalues
-    edge_ties: int
 
 
 @dataclass(frozen=True)
@@ -222,35 +267,58 @@ class DropletProjector:
         return sel.vectors @ sel.vectors.T
 
 
+def spectral_floors(params: ModelParams, lattice: Lattice) -> np.ndarray:
+    """Lower bounds on the spectrum of each sector n = 0..|lattice|.
+
+    In the standard boundary mode every configuration with n >= 1 particles
+    has at least one cluster, so the field-free sector lies above the k=1
+    cluster threshold 1 - delta_inv (`threshold_check` verifies it).  The
+    field adds a non-negative diagonal whose smallest entry is the sum of the
+    n smallest field values, and by Weyl's inequality the two floors add.
+    The vacuum sits at 0.  Other boundary modes have no such threshold and
+    get -inf.
+    """
+    floors = np.full(lattice.size + 1, -math.inf)
+    if params.boundary_mode == "standard":
+        values = np.sort([params.field_value(s) for s in lattice.sites])
+        floors[0] = 0.0
+        floors[1:] = (1.0 - params.delta_inv) + np.cumsum(values)
+    return floors
+
+
 def droplet_projector(
     params: ModelParams,
     lattice: Lattice,
     window: DropletWindow,
     n_max: int | None = None,
     override_window_check: bool = False,
-    spectra: dict[int, SpectralData] | None = None,
 ) -> DropletProjector:
-    """Select all eigenpairs with eigenvalue in [0, e_max] across sectors 0..n_max."""
+    """Select all eigenpairs with eigenvalue in [0, e_max] across sectors 0..n_max.
+
+    A sector whose spectral floor (`spectral_floors`) lies above the window
+    edge by more than SKIP_MARGIN is neither assembled nor solved and gets an
+    empty selection; every other sector is solved for its in-window
+    eigenpairs only.
+    """
     if not override_window_check and not window.is_valid_for(params):
         raise DomainError(
             f"window edge {window.e_max!r} is not below the validity limit "
-            f"2(1 - 3*delta_inv) = {window.limit_for(params)!r}"
+            f"2(1 - 3*delta_inv) = {validity_limit(params)!r}"
         )
     if n_max is None:
         n_max = lattice.size
-    if spectra is None:
-        spectra = sector_spectra(params, lattice, n_max)
+    floors = spectral_floors(params, lattice)
     selections = {}
     for n in range(n_max + 1):
-        data = spectra[n]
-        w = data.eigenvalues
-        keep = (w >= -EDGE_TIE_TOL) & (w <= window.e_max + EDGE_TIE_TOL)
-        ties = int(np.sum(np.abs(w - window.e_max) <= EDGE_TIE_TOL))
+        if floors[n] > window.e_max + SKIP_MARGIN:
+            dim = math.comb(lattice.size, n)
+            selections[n] = SectorSelection(
+                n=n, eigenvalues=np.empty(0), vectors=np.empty((dim, 0))
+            )
+            continue
+        data = eigensolve(assemble_sector(params, enumerate_sector(lattice, n)), window.e_max)
         selections[n] = SectorSelection(
-            n=n,
-            eigenvalues=w[keep].copy(),
-            vectors=data.eigenvectors[:, keep].copy(),
-            edge_ties=ties,
+            n=n, eigenvalues=data.eigenvalues, vectors=data.eigenvectors
         )
     return DropletProjector(lattice=lattice, window=window, selections=selections, n_max=n_max)
 
@@ -350,7 +418,7 @@ class GreensSlice:
 
 def greens_function(params: ModelParams, basis, energy: float) -> GreensSlice:
     """Restricted resolvent at a real energy inside the positive-definite window."""
-    limit = 2.0 * (1.0 - 3.0 * params.delta_inv)
+    limit = validity_limit(params)
     if energy < 0 or energy >= limit:
         raise DomainError(
             f"energy {energy!r} outside the admissible window [0, {limit!r})"

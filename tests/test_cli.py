@@ -1,8 +1,15 @@
 """Harness behavior: records, caching, exit codes, determinism."""
 
+import functools
+import os
+import subprocess
+import sys
 from pathlib import Path
 
+from droplet_lab import cli, pipelines
 from droplet_lab.cli import (
+    EXIT_NO_VERDICTS,
+    NO_VERDICTS_NOTE,
     ResultRecord,
     cache_key,
     canonical_config,
@@ -140,3 +147,52 @@ def test_env_cache_dir(tmp_path, monkeypatch):
     out = tmp_path / "out"
     assert run(["spectrum", "--L", "1", "--delta-inv", "0.1", "--outdir", str(out)]) == 0
     assert any(env_cache.glob("spectrum-*.summary.txt"))
+
+
+def test_cache_misses_under_another_source_digest(tmp_path, monkeypatch, capsys):
+    args = [
+        "thresholds", "--L", "1", "--delta-inv", "0.3",
+        "--cache", "--cache-dir", str(tmp_path / "cache"),
+    ]
+    monkeypatch.setattr(cli, "source_digest", lambda: "a" * 64)
+    assert run(args + ["--outdir", str(tmp_path / "a")]) == 0
+    assert run(args + ["--outdir", str(tmp_path / "b")]) == 0
+    assert "cache hit" in capsys.readouterr().out
+    monkeypatch.setattr(cli, "source_digest", lambda: "b" * 64)
+    assert run(args + ["--outdir", str(tmp_path / "c")]) == 0
+    assert "cache hit" not in capsys.readouterr().out
+    assert len(list((tmp_path / "cache").glob("*.summary.txt"))) == 2
+
+
+def test_source_digest_is_lazy_and_stable():
+    # Importing the package must not read its sources (setup time).
+    probe = "import droplet_lab.cli as c; print(c.source_digest.cache_info().currsize)"
+    src = str(Path(cli.__file__).parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert out.stdout.strip() == "0"
+    digest = cli.source_digest()
+    assert len(digest) == 64 and digest == cli.source_digest()
+
+
+def test_run_without_verdicts_exits_nonzero_with_note(tmp_path, monkeypatch, capsys):
+    # The droplet boundary mode skips the zero-mode check and, with the
+    # oracle limit at 0 sites, the oracle comparison too: no verdict is left.
+    monkeypatch.setattr(
+        pipelines,
+        "spectrum_pipeline",
+        functools.partial(pipelines.spectrum_pipeline, oracle_max_sites=0),
+    )
+    args = [
+        "spectrum", "--L", "1", "--boundary-mode", "droplet",
+        "--cache-dir", str(tmp_path / "cache"),
+    ]
+    assert run(args + ["--outdir", str(tmp_path / "a")]) == EXIT_NO_VERDICTS
+    assert NO_VERDICTS_NOTE in capsys.readouterr().err
+    record = parse_summary(next((tmp_path / "a").glob("*.summary.txt")).read_text())
+    assert record.verdicts == {}
+    assert NO_VERDICTS_NOTE in record.notes
+    # The cached record fails the same way.
+    assert run(args + ["--outdir", str(tmp_path / "b")]) == EXIT_NO_VERDICTS
