@@ -31,7 +31,6 @@ def _coth(x: float) -> float:
 @dataclass(frozen=True)
 class ProductConstant:
     value: float
-    factors: int
     tail_bound: float
 
 
@@ -56,7 +55,7 @@ def displacement_sum_constant(mu: float) -> ProductConstant:
     # ln of the dropped tail of prod (1 - q^k)^-2 is below 2 sum_{j>k} q^j/(1-q^j).
     tail_log = 2.0 * q ** (k + 1) / ((1.0 - q) * (1.0 - q ** (k + 1)))
     value = product * product / (1.0 - q)
-    return ProductConstant(value=value, factors=k - 1, tail_bound=value * math.expm1(tail_log))
+    return ProductConstant(value=value, tail_bound=value * math.expm1(tail_log))
 
 
 def straddling_sum_constant(s: int, mu: float) -> float:
@@ -75,7 +74,6 @@ def edge_sum_constant(mu: float) -> float:
 class SumCheck:
     lhs: float
     bound: float
-    half_width: int
     doubling_delta: float
 
     @property
@@ -129,12 +127,7 @@ def check_displacement_sum(mu: float, n: int, half_width: int | None = None) -> 
             f"window half-width {half_width} is unstable under doubling "
             f"(delta={delta:.3e}); enlarge the window"
         )
-    return SumCheck(
-        lhs=dbl,
-        bound=displacement_sum_constant(mu).value,
-        half_width=half_width,
-        doubling_delta=delta,
-    )
+    return SumCheck(lhs=dbl, bound=displacement_sum_constant(mu).value, doubling_delta=delta)
 
 
 def _straddling_window_sum(mu: float, n: int, block: tuple[int, int], half_width: int) -> float:
@@ -194,12 +187,8 @@ def check_straddling_sum(
             f"window half-width {half_width} is unstable under doubling "
             f"(delta={delta:.3e}); enlarge the window"
         )
-    return SumCheck(
-        lhs=dbl,
-        bound=straddling_sum_constant(min(n, b_length), mu),
-        half_width=half_width,
-        doubling_delta=delta,
-    )
+    bound = straddling_sum_constant(min(n, b_length), mu)
+    return SumCheck(lhs=dbl, bound=bound, doubling_delta=delta)
 
 
 def check_edge_weighted_sum(mu: float, n: int, lattice: Lattice) -> SumCheck:
@@ -210,6 +199,4 @@ def check_edge_weighted_sum(mu: float, n: int, lattice: Lattice) -> SumCheck:
     total = 0.0
     for x in enumerate_sector(lattice, n):
         total += math.exp(-mu * (distance_to_clustered(x) + distance_to_edge(x, edge)))
-    return SumCheck(
-        lhs=total, bound=edge_sum_constant(mu), half_width=lattice.L, doubling_delta=0.0
-    )
+    return SumCheck(lhs=total, bound=edge_sum_constant(mu), doubling_delta=0.0)

@@ -23,29 +23,13 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
-from . import pipelines
+from . import __version__, pipelines
 from .disorder import DisorderSpec
 from .errors import DropletLabError
-from .pipelines import PipelineResult, Table
+from .pipelines import Table
 
-VERSION = "0.1.0"
 EXIT_NO_VERDICTS = 3
 NO_VERDICTS_NOTE = "no verdict was checked: this run verifies nothing"
-
-COMMANDS = (
-    "spectrum",
-    "thresholds",
-    "ct-decay",
-    "dos-bound",
-    "ising-entropy",
-    "entropy-scan",
-    "droplet-band",
-    "disorder-dos",
-    "area-law",
-    "sum-constants",
-    "evolve-entropy",
-    "verify-all",
-)
 
 
 class UsageError(Exception):
@@ -96,7 +80,7 @@ def source_digest() -> str:
 def canonical_config(command: str, options: dict) -> str:
     """The serialization the cache key hashes: command, options, version and source digest."""
     return json.dumps(
-        {"command": command, "options": options, "version": VERSION, "source": source_digest()},
+        {"command": command, "options": options, "version": __version__, "source": source_digest()},
         sort_keys=True,
         separators=(",", ":"),
     )
@@ -192,7 +176,7 @@ def _atomic_write(path: Path, data: str) -> None:
         raise
 
 
-def resolve_cache_dir(flag_value: str | None, outdir: Path) -> Path:
+def resolve_cache_dir(flag_value: str | None) -> Path:
     if flag_value:
         return Path(flag_value)
     env = os.environ.get("DROPLET_LAB_CACHE")
@@ -216,183 +200,187 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _ints(*default: int) -> dict:
+    return {"type": int, "nargs": "+", "default": list(default)}
+
+
+def _floats(*default: float) -> dict:
+    return {"type": float, "nargs": "+", "default": list(default)}
+
+
+_J_MAX_HELP = "window edge (default: droplet edge + 2 x field mean)"
+_DISORDER = [
+    ("--dist", {"choices": ("uniform", "bernoulli", "constant"), "default": "uniform"}),
+    ("--dist-a", {"type": float, "default": 0.0}),
+    ("--dist-b", {"type": float, "default": 2.0}),
+]
+
+
+def _disorder_spec(args) -> DisorderSpec:
+    if args.dist == "uniform":
+        return DisorderSpec.uniform(args.dist_a, args.dist_b, args.samples, args.seed)
+    if args.dist == "bernoulli":
+        return DisorderSpec.bernoulli(args.dist_a, args.dist_b, args.samples, args.seed)
+    return DisorderSpec.constant(args.dist_a, args.samples, args.seed)
+
+
+# name: (help, arguments beyond the common ones as (flag, add_argument
+# keywords), call from the parsed arguments to the pipeline).  Each call looks
+# its pipeline up in `pipelines` when it runs, so a patched or wrapped
+# pipeline is the one called.
+COMMANDS = {
+    "spectrum": (
+        "sector spectra, zero mode, oracle agreement",
+        [("--boundary-mode", {"choices": ("standard", "droplet"), "default": "standard"})],
+        lambda a: pipelines.spectrum_pipeline(a.L, a.delta_inv, a.boundary_mode),
+    ),
+    "thresholds": (
+        "cluster-count energy thresholds",
+        [("--k", _ints(1, 2, 3)), ("--field-draws", {"type": int, "default": 3})],
+        lambda a: pipelines.thresholds_pipeline(
+            a.L, a.delta_inv, ks=a.k, field_draws=a.field_draws, seed=a.seed
+        ),
+    ),
+    "ct-decay": (
+        "restricted resolvent decay fits",
+        [
+            ("--n", _ints(2, 3)),
+            ("--stability-L", {"type": int, "default": None, "help": "second size (0 disables)"}),
+        ],
+        lambda a: pipelines.ct_decay_pipeline(
+            a.delta_inv,
+            a.L,
+            n_values=a.n,
+            # Unset: one size up; 0: no second size.
+            stability_L=a.L + 1 if a.stability_L is None else a.stability_L or None,
+            window_fraction=a.window_fraction,
+        ),
+    ),
+    "dos-bound": (
+        "windowed density of states decay",
+        [],
+        lambda a: pipelines.dos_bound_pipeline(a.delta_inv, a.L, a.window_fraction),
+    ),
+    "ising-entropy": (
+        "Hartley bounds for cluster states",
+        [("--states", {"type": int, "default": 500}), ("--witness-n", _ints(2, 3, 4))],
+        lambda a: pipelines.ising_entropy_pipeline(
+            a.L, n_states=a.states, seed=a.seed, witness_ns=a.witness_n
+        ),
+    ),
+    "entropy-scan": (
+        "entropy growth over block sizes",
+        [
+            ("--block-sizes", {"type": int, "nargs": "+", "default": None}),
+            ("--alphas", _floats(0.0, 0.5, 1.0, 2.0)),
+            ("--n-random", {"type": int, "default": 64}),
+        ],
+        lambda a: pipelines.entropy_scan_pipeline(
+            a.delta_inv,
+            a.L,
+            block_sizes=a.block_sizes,
+            alphas=a.alphas,
+            seed=a.seed,
+            n_random=a.n_random,
+            window_fraction=a.window_fraction,
+        ),
+    ),
+    "droplet-band": (
+        "square-root boundary band structure",
+        [("--n-list", _ints(3, 4, 5, 6))],
+        lambda a: pipelines.droplet_band_pipeline(a.delta_inv, a.L, a.n_list),
+    ),
+    "disorder-dos": (
+        "averaged density of states decay in n",
+        _DISORDER
+        + [
+            ("--samples", {"type": int, "default": 200}),
+            ("--probe-n", _ints(1, 2, 3, 4)),
+            ("--j-max", {"type": float, "default": None, "help": _J_MAX_HELP}),
+        ],
+        lambda a: pipelines.disorder_dos_pipeline(
+            a.delta_inv,
+            a.L,
+            _disorder_spec(a),
+            probe_ns=a.probe_n,
+            window_fraction=a.window_fraction,
+            j_max=a.j_max,
+        ),
+    ),
+    "area-law": (
+        "averaged exponentiated entropy flatness",
+        _DISORDER
+        + [
+            ("--samples", {"type": int, "default": 100}),
+            ("--alpha", {"type": float, "default": 1.0}),
+            ("--epsilon", {"type": float, "default": 0.5}),
+            ("--block-sizes", _ints(2, 3, 4, 5)),
+            ("--contrast", {"action": argparse.BooleanOptionalAction, "default": True}),
+        ],
+        lambda a: pipelines.area_law_pipeline(
+            a.delta_inv,
+            a.L,
+            _disorder_spec(a),
+            block_sizes=a.block_sizes,
+            alpha=a.alpha,
+            epsilon=a.epsilon,
+            contrast=a.contrast,
+            window_fraction=a.window_fraction,
+        ),
+    ),
+    "sum-constants": (
+        "configuration-sum bounds",
+        [("--mu", _floats(0.5, 1.0, 2.0)), ("--n", _ints(2, 3, 4)), ("--b", _ints(2, 3, 4))],
+        lambda a: pipelines.sum_constants_pipeline(mus=a.mu, ns=a.n, b_lengths=a.b, L=a.L),
+    ),
+    "evolve-entropy": (
+        "dynamic entropy under the log envelope",
+        [
+            ("--times", _floats(0.0, 1.0, 10.0, 100.0)),
+            ("--states", {"type": int, "default": 5}),
+            ("--block-sizes", {"type": int, "nargs": "+", "default": None}),
+        ],
+        lambda a: pipelines.evolve_entropy_pipeline(
+            a.delta_inv,
+            a.L,
+            times=a.times,
+            n_states=a.states,
+            block_sizes=a.block_sizes,
+            seed=a.seed,
+            window_fraction=a.window_fraction,
+        ),
+    ),
+    "verify-all": (
+        "run every pipeline at desk scale",
+        [
+            ("--disorder-samples", {"type": int, "default": 60}),
+            ("--area-samples", {"type": int, "default": 30}),
+        ],
+        lambda a: pipelines.verify_all_pipeline(
+            L=a.L,
+            delta_inv=a.delta_inv,
+            seed=a.seed,
+            disorder_samples=a.disorder_samples,
+            area_samples=a.area_samples,
+        ),
+    ),
+}
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="droplet-lab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("spectrum", help="sector spectra, zero mode, oracle agreement")
-    _add_common(p)
-    p.add_argument("--boundary-mode", choices=("standard", "droplet"), default="standard")
-
-    p = sub.add_parser("thresholds", help="cluster-count energy thresholds")
-    _add_common(p)
-    p.add_argument("--k", type=int, nargs="+", default=[1, 2, 3])
-    p.add_argument("--field-draws", type=int, default=3)
-
-    p = sub.add_parser("ct-decay", help="restricted resolvent decay fits")
-    _add_common(p)
-    p.add_argument("--n", type=int, nargs="+", default=[2, 3])
-    p.add_argument("--stability-L", type=int, default=None, help="second size (0 disables)")
-
-    p = sub.add_parser("dos-bound", help="windowed density of states decay")
-    _add_common(p)
-
-    p = sub.add_parser("ising-entropy", help="Hartley bounds for cluster states")
-    _add_common(p)
-    p.add_argument("--states", type=int, default=500)
-    p.add_argument("--witness-n", type=int, nargs="+", default=[2, 3, 4])
-
-    p = sub.add_parser("entropy-scan", help="entropy growth over block sizes")
-    _add_common(p)
-    p.add_argument("--block-sizes", type=int, nargs="+", default=None)
-    p.add_argument("--alphas", type=float, nargs="+", default=[0.0, 0.5, 1.0, 2.0])
-    p.add_argument("--n-random", type=int, default=64)
-
-    p = sub.add_parser("droplet-band", help="square-root boundary band structure")
-    _add_common(p)
-    p.add_argument("--n-list", type=int, nargs="+", default=[3, 4, 5, 6])
-
-    p = sub.add_parser("disorder-dos", help="averaged density of states decay in n")
-    _add_common(p)
-    p.add_argument("--dist", choices=("uniform", "bernoulli", "constant"), default="uniform")
-    p.add_argument("--dist-a", type=float, default=0.0)
-    p.add_argument("--dist-b", type=float, default=2.0)
-    p.add_argument("--samples", type=int, default=200)
-    p.add_argument("--probe-n", type=int, nargs="+", default=[1, 2, 3, 4])
-    p.add_argument("--j-max", type=float, default=None, help="window edge (default: droplet edge + 2 x field mean)")
-
-    p = sub.add_parser("area-law", help="averaged exponentiated entropy flatness")
-    _add_common(p)
-    p.add_argument("--dist", choices=("uniform", "bernoulli", "constant"), default="uniform")
-    p.add_argument("--dist-a", type=float, default=0.0)
-    p.add_argument("--dist-b", type=float, default=2.0)
-    p.add_argument("--samples", type=int, default=100)
-    p.add_argument("--alpha", type=float, default=1.0)
-    p.add_argument("--epsilon", type=float, default=0.5)
-    p.add_argument("--block-sizes", type=int, nargs="+", default=[2, 3, 4, 5])
-    p.add_argument("--contrast", action=argparse.BooleanOptionalAction, default=True)
-
-    p = sub.add_parser("sum-constants", help="configuration-sum bounds")
-    _add_common(p)
-    p.add_argument("--mu", type=float, nargs="+", default=[0.5, 1.0, 2.0])
-    p.add_argument("--n", type=int, nargs="+", default=[2, 3, 4])
-    p.add_argument("--b", type=int, nargs="+", default=[2, 3, 4])
-
-    p = sub.add_parser("evolve-entropy", help="dynamic entropy under the log envelope")
-    _add_common(p)
-    p.add_argument("--times", type=float, nargs="+", default=[0.0, 1.0, 10.0, 100.0])
-    p.add_argument("--states", type=int, default=5)
-    p.add_argument("--block-sizes", type=int, nargs="+", default=None)
-
-    p = sub.add_parser("verify-all", help="run every pipeline at desk scale")
-    _add_common(p)
-    p.add_argument("--disorder-samples", type=int, default=60)
-    p.add_argument("--area-samples", type=int, default=30)
+    for name, (help_text, arguments, _) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        _add_common(p)
+        for flag, keywords in arguments:
+            p.add_argument(flag, **keywords)
     return parser
-
-
-def _disorder_spec(args, samples: int) -> DisorderSpec:
-    if args.dist == "uniform":
-        return DisorderSpec.uniform(args.dist_a, args.dist_b, samples, args.seed)
-    if args.dist == "bernoulli":
-        return DisorderSpec.bernoulli(args.dist_a, args.dist_b, samples, args.seed)
-    return DisorderSpec.constant(args.dist_a, samples, args.seed)
 
 
 def _options_dict(args) -> dict:
     skip = {"command", "outdir", "cache", "cache_dir"}
-    out = {}
-    for key, value in sorted(vars(args).items()):
-        if key in skip:
-            continue
-        if isinstance(value, list):
-            value = list(value)
-        out[key] = value
-    return out
-
-
-def _dispatch(args) -> PipelineResult:
-    cmd = args.command
-    if cmd == "spectrum":
-        return pipelines.spectrum_pipeline(args.L, args.delta_inv, args.boundary_mode)
-    if cmd == "thresholds":
-        return pipelines.thresholds_pipeline(
-            args.L, args.delta_inv, ks=tuple(args.k), field_draws=args.field_draws, seed=args.seed
-        )
-    if cmd == "ct-decay":
-        stability = args.stability_L
-        if stability is None:
-            stability = args.L + 1
-        if stability == 0:
-            stability = None
-        return pipelines.ct_decay_pipeline(
-            args.delta_inv,
-            args.L,
-            n_values=tuple(args.n),
-            stability_L=stability,
-            window_fraction=args.window_fraction,
-        )
-    if cmd == "dos-bound":
-        return pipelines.dos_bound_pipeline(args.delta_inv, args.L, args.window_fraction)
-    if cmd == "ising-entropy":
-        return pipelines.ising_entropy_pipeline(
-            args.L, n_states=args.states, seed=args.seed, witness_ns=tuple(args.witness_n)
-        )
-    if cmd == "entropy-scan":
-        return pipelines.entropy_scan_pipeline(
-            args.delta_inv,
-            args.L,
-            block_sizes=None if args.block_sizes is None else tuple(args.block_sizes),
-            alphas=tuple(args.alphas),
-            seed=args.seed,
-            n_random=args.n_random,
-            window_fraction=args.window_fraction,
-        )
-    if cmd == "droplet-band":
-        return pipelines.droplet_band_pipeline(args.delta_inv, args.L, tuple(args.n_list))
-    if cmd == "disorder-dos":
-        return pipelines.disorder_dos_pipeline(
-            args.delta_inv,
-            args.L,
-            _disorder_spec(args, args.samples),
-            probe_ns=tuple(args.probe_n),
-            window_fraction=args.window_fraction,
-            j_max=args.j_max,
-        )
-    if cmd == "area-law":
-        return pipelines.area_law_pipeline(
-            args.delta_inv,
-            args.L,
-            _disorder_spec(args, args.samples),
-            block_sizes=tuple(args.block_sizes),
-            alpha=args.alpha,
-            epsilon=args.epsilon,
-            contrast=args.contrast,
-            window_fraction=args.window_fraction,
-        )
-    if cmd == "sum-constants":
-        return pipelines.sum_constants_pipeline(
-            mus=tuple(args.mu), ns=tuple(args.n), b_lengths=tuple(args.b), L=args.L
-        )
-    if cmd == "evolve-entropy":
-        return pipelines.evolve_entropy_pipeline(
-            args.delta_inv,
-            args.L,
-            times=tuple(args.times),
-            n_states=args.states,
-            block_sizes=None if args.block_sizes is None else tuple(args.block_sizes),
-            seed=args.seed,
-            window_fraction=args.window_fraction,
-        )
-    if cmd == "verify-all":
-        return pipelines.verify_all_pipeline(
-            L=args.L,
-            delta_inv=args.delta_inv,
-            seed=args.seed,
-            disorder_samples=args.disorder_samples,
-            area_samples=args.area_samples,
-        )
-    raise UsageError(f"unknown command {cmd!r}")
+    return {key: value for key, value in sorted(vars(args).items()) if key not in skip}
 
 
 def run(argv) -> int:
@@ -410,8 +398,8 @@ def run(argv) -> int:
     csv_name = f"{args.command}-{key}.csv"
     summary_name = f"{args.command}-{key}.summary.txt"
 
-    if args.cache:
-        cache_dir = resolve_cache_dir(args.cache_dir, outdir)
+    cache_dir = resolve_cache_dir(args.cache_dir) if args.cache else None
+    if cache_dir is not None:
         cached_summary = cache_dir / summary_name
         cached_csv = cache_dir / csv_name
         if cached_summary.exists() and cached_csv.exists():
@@ -423,10 +411,7 @@ def run(argv) -> int:
             return record.exit_code
 
     try:
-        result = _dispatch(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        result = COMMANDS[args.command][2](args)
     except DropletLabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -434,7 +419,7 @@ def run(argv) -> int:
     record = ResultRecord(
         command=args.command,
         config_hash=key,
-        version=VERSION,
+        version=__version__,
         timestamp=datetime.now(timezone.utc).isoformat(),
         config=options,
         verdicts=dict(result.verdicts),
@@ -446,8 +431,7 @@ def run(argv) -> int:
     csv_text = render_csv(result.table)
     _atomic_write(outdir / summary_name, summary_text)
     _atomic_write(outdir / csv_name, csv_text)
-    if args.cache:
-        cache_dir = resolve_cache_dir(args.cache_dir, outdir)
+    if cache_dir is not None:
         _atomic_write(cache_dir / summary_name, summary_text)
         _atomic_write(cache_dir / csv_name, csv_text)
     for name in sorted(record.verdicts):

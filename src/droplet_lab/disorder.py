@@ -97,16 +97,16 @@ def _field_params(template: ModelParams, lattice: Lattice, values: np.ndarray) -
     return template.with_field({s: float(values[s + lattice.L]) for s in lattice.sites})
 
 
-def _ols_line(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
-    """Slope, intercept and the slope's standard error of a least-squares line."""
+def _ols_line(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
+    """Slope and the slope's standard error of a least-squares line."""
     slope, intercept = np.polyfit(x, y, 1)
     resid = y - (intercept + slope * x)
     dof = len(x) - 2
     if dof <= 0:
-        return float(slope), float(intercept), math.nan
+        return float(slope), math.nan
     sigma2 = float(resid @ resid) / dof
     sxx = float(np.sum((x - x.mean()) ** 2))
-    return float(slope), float(intercept), math.sqrt(sigma2 / sxx)
+    return float(slope), math.sqrt(sigma2 / sxx)
 
 
 def sample_slope(x: np.ndarray, samples: np.ndarray) -> tuple[float, float]:
@@ -134,13 +134,8 @@ class DosDecayResult:
     stderrs: tuple[float | None, ...]
     decay_rate: float
     decay_rate_stderr: float
-    prefactor: float
     fitted_points: int
     nontrivial_support: bool
-
-    @property
-    def decays(self) -> bool:
-        return self.decay_rate > 0
 
 
 def dos_decay_experiment(
@@ -171,8 +166,7 @@ def dos_decay_experiment(
         for n, probe in probes.items():
             basis = enumerate_sector(lattice, n)
             entries = base[n].entries + np.diag(field_diagonal(basis, field))
-            shifted = SectorMatrix(basis=basis, entries=entries, hop_pairs=base[n].hop_pairs)
-            data = eigensolve(shifted, window.e_max)
+            data = eigensolve(SectorMatrix(basis=basis, entries=entries), window.e_max)
             row = data.eigenvectors[basis.index_of(tuple(probe))]
             values[n][i] = float(row @ row)
     ns = tuple(sorted(probes))
@@ -189,14 +183,13 @@ def dos_decay_experiment(
         )
     xs = np.array([n for n, _ in positive], dtype=float)
     ys = np.log(np.array([m for _, m in positive]))
-    slope, intercept, slope_se = _ols_line(xs, ys)
+    slope, slope_se = _ols_line(xs, ys)
     return DosDecayResult(
         probe_ns=ns,
         means=means,
         stderrs=stderrs,
         decay_rate=-slope,
         decay_rate_stderr=slope_se,
-        prefactor=math.exp(intercept),
         fitted_points=len(positive),
         nontrivial_support=spec.nontrivial_support,
     )

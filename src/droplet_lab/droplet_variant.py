@@ -25,6 +25,7 @@ class DropletSpectrumReport:
     band_center: float
     band_width: float
     gap: float
+    deficit: float  # 1 - delta_inv - gap, the gap's distance below its limit
 
 
 def droplet_spectrum_report(delta_inv: float, lattice: Lattice, n: int) -> DropletSpectrumReport:
@@ -43,20 +44,18 @@ def droplet_spectrum_report(delta_inv: float, lattice: Lattice, n: int) -> Dropl
     width = float(max(abs(band - center)))
     gap = float(data.eigenvalues[count] - data.eigenvalues[count - 1]) if count < data.dim else math.inf
     return DropletSpectrumReport(
-        n=n, lowest_count=count, band_center=center, band_width=width, gap=gap
+        n=n,
+        lowest_count=count,
+        band_center=center,
+        band_width=width,
+        gap=gap,
+        deficit=(1.0 - delta_inv) - gap,
     )
 
 
 @dataclass(frozen=True)
-class GapTrendRow:
-    n: int
-    gap: float
-    deficit: float
-
-
-@dataclass(frozen=True)
 class GapTrend:
-    rows: tuple[GapTrendRow, ...]
+    rows: tuple[DropletSpectrumReport, ...]
     gap_increasing: bool
     limit_reached: bool
     limit_tol: float
@@ -77,11 +76,7 @@ def gap_limit_check(
         raise DomainError(f"n_list must be strictly increasing, got {n_list}")
     if limit_tol is None:
         limit_tol = max(0.01, delta_inv**2)
-    limit = 1.0 - delta_inv
-    rows = []
-    for n in n_list:
-        report = droplet_spectrum_report(delta_inv, lattice, n)
-        rows.append(GapTrendRow(n=n, gap=report.gap, deficit=limit - report.gap))
+    rows = [droplet_spectrum_report(delta_inv, lattice, n) for n in n_list]
     increasing = all(b.gap > a.gap for a, b in zip(rows, rows[1:]))
     reached = abs(rows[-1].deficit) <= limit_tol
     return GapTrend(

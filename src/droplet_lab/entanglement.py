@@ -77,8 +77,6 @@ class Matricization:
 
     matrix: np.ndarray
     row_configs: tuple[Config, ...]
-    col_configs: tuple[Config, ...]
-    row_sites: tuple[int, ...]
 
 
 def _subset_index(sites: tuple[int, ...]) -> tuple[list[Config], dict[Config, int]]:
@@ -126,9 +124,8 @@ def matricize_sites(psi: AmplitudeMap, row_sites: tuple[int, ...]) -> Matricizat
     inside = set(row_sites)
     col_sites = tuple(s for s in lattice.sites if s not in inside)
     row_configs, _ = _subsets(row_sites)
-    col_configs, _ = _subsets(col_sites)
     dtype = complex if any(np.iscomplexobj(v) for v in psi.parts.values()) else float
-    M = np.zeros((len(row_configs), len(col_configs)), dtype=dtype)
+    M = np.zeros((len(row_configs), 1 << len(col_sites)), dtype=dtype)
     for n, vec in psi.parts.items():
         rows, cols = _split_indices(lattice, row_sites, n)
         M[rows, cols] = vec
@@ -137,12 +134,7 @@ def matricize_sites(psi: AmplitudeMap, row_sites: tuple[int, ...]) -> Matricizat
         raise NumericError(
             f"matricization changed the norm: {frob!r} vs {psi.norm()!r}"
         )
-    return Matricization(
-        matrix=M,
-        row_configs=tuple(row_configs),
-        col_configs=tuple(col_configs),
-        row_sites=row_sites,
-    )
+    return Matricization(matrix=M, row_configs=tuple(row_configs))
 
 
 def matricize(psi: AmplitudeMap, part: Bipartition) -> Matricization:
@@ -156,7 +148,6 @@ class EntropyReport:
     alpha: float
     value: float
     schmidt_spectrum: np.ndarray
-    rank_tol: float
     rank: int
 
 
@@ -187,9 +178,7 @@ def renyi_entropy(m: Matricization, alpha: float, rank_tol: float = RANK_TOL) ->
         raise DomainError(f"alpha must be >= 0, got {alpha}")
     lam = _schmidt_spectrum(m)
     value, rank = _renyi_from_spectrum(lam, alpha, rank_tol)
-    return EntropyReport(
-        alpha=alpha, value=max(value, 0.0), schmidt_spectrum=lam, rank_tol=rank_tol, rank=rank
-    )
+    return EntropyReport(alpha=alpha, value=max(value, 0.0), schmidt_spectrum=lam, rank=rank)
 
 
 def entropy(psi: AmplitudeMap, part: Bipartition, alpha: float) -> float:
@@ -273,7 +262,6 @@ class SupEstimate:
 
     value: float
     eigenstate_max: float
-    best_sector: int | None
     candidates: int
 
 
@@ -284,7 +272,7 @@ def _entropy_of_vector(
     for (n, sel), (lo, hi) in layout:
         block = coeff[lo:hi]
         if np.any(block != 0):
-            parts[n] = sel.vectors @ block
+            parts[n] = sel.eigenvectors @ block
     psi = AmplitudeMap(projector.lattice, parts)
     return renyi_entropy(matricize(psi, part), alpha).value
 
@@ -307,20 +295,19 @@ def droplet_sup_entropy(
     layout = []
     offset = 0
     for n, sel in sorted(projector.selections.items()):
-        m = sel.vectors.shape[1]
+        m = sel.eigenvectors.shape[1]
         layout.append(((n, sel), (offset, offset + m)))
         offset += m
     total = offset
     if total == 0:
-        return SupEstimate(value=0.0, eigenstate_max=0.0, best_sector=None, candidates=0)
+        return SupEstimate(value=0.0, eigenstate_max=0.0, candidates=0)
 
     best_val = -np.inf
     best_coeff = None
-    best_sector = None
     eigen_max = 0.0
     candidates = 0
 
-    for (n, sel), (lo, hi) in layout:
+    for _, (lo, hi) in layout:
         for j in range(hi - lo):
             coeff = np.zeros(total)
             coeff[lo + j] = 1.0
@@ -328,7 +315,7 @@ def droplet_sup_entropy(
             candidates += 1
             eigen_max = max(eigen_max, val)
             if val > best_val:
-                best_val, best_coeff, best_sector = val, coeff, n
+                best_val, best_coeff = val, coeff
         m = hi - lo
         if m < 2:
             continue  # any random combination would reproduce the lone eigenstate
@@ -339,7 +326,7 @@ def droplet_sup_entropy(
             val = _entropy_of_vector(projector, coeff, layout, part, alpha)
             candidates += 1
             if val > best_val:
-                best_val, best_coeff, best_sector = val, coeff, n
+                best_val, best_coeff = val, coeff
 
     directions = rng.permutation(total)
     angles = (0.3, -0.3, 0.1, -0.1)
@@ -354,13 +341,9 @@ def droplet_sup_entropy(
             candidates += 1
             if val > best_val:
                 best_val, best_coeff = val, coeff
-                best_sector = None  # mixed-sector ascent result
                 break
     return SupEstimate(
-        value=float(best_val),
-        eigenstate_max=float(eigen_max),
-        best_sector=best_sector,
-        candidates=candidates,
+        value=float(best_val), eigenstate_max=float(eigen_max), candidates=candidates
     )
 
 
@@ -375,12 +358,11 @@ class ScanRow:
 
 @dataclass(frozen=True)
 class LogBoundFit:
-    """Fit of S(s) <= scale * ln(offset + slope * s) with its residuals."""
+    """Fit of S(s) <= scale * ln(offset + slope * s) with its largest residual."""
 
     scale: float
     offset: float
     slope: float
-    residuals: np.ndarray
     max_residual: float
     envelope_shift: float
 
@@ -413,7 +395,6 @@ def fit_log_bound(s_values: np.ndarray, entropies: np.ndarray) -> LogBoundFit:
         scale=float(result.x[0]),
         offset=float(result.x[1]),
         slope=float(result.x[2]),
-        residuals=residuals,
         max_residual=max_residual,
         envelope_shift=shift,
     )
@@ -446,21 +427,21 @@ def entropy_scan(
     alphas = tuple(alphas)
     rows = []
     empty = tuple(
-        n for n, sel in sorted(projector.selections.items()) if sel.vectors.shape[1] == 0
+        n for n, sel in sorted(projector.selections.items()) if sel.eigenvectors.shape[1] == 0
     )
     for size in part_sizes:
         part = centered_block(lattice, size)
         for n, sel in sorted(projector.selections.items()):
-            m = sel.vectors.shape[1]
+            m = sel.eigenvectors.shape[1]
             if m == 0:
                 continue
             rng = np.random.default_rng(np.random.SeedSequence((seed, size, n)))
             # One Schmidt spectrum per candidate serves every alpha, so the
             # per-alpha maxima inherit the exact monotonicity in alpha.
-            candidates = [sel.vectors[:, j] for j in range(m)]
+            candidates = [sel.eigenvectors[:, j] for j in range(m)]
             for _ in range(n_random if m > 1 else 0):
                 block = rng.standard_normal(m)
-                candidates.append(sel.vectors @ (block / np.linalg.norm(block)))
+                candidates.append(sel.eigenvectors @ (block / np.linalg.norm(block)))
             best = {alpha: 0.0 for alpha in alphas}
             for vec in candidates:
                 psi = AmplitudeMap(lattice, {n: vec})

@@ -71,13 +71,11 @@ class SectorMatrix:
     """Dense symmetric matrix of one particle-number sector (or a restriction).
 
     `kept` is None for a full sector; for a restriction it lists the retained
-    ordinals of `basis`.  `hop_pairs` records the structurally nonzero
-    off-diagonal positions (i < j) in the matrix's own indexing.
+    ordinals of `basis`.
     """
 
     basis: SectorBasis
     entries: np.ndarray
-    hop_pairs: tuple[tuple[int, int], ...]
     kept: tuple[int, ...] | None = None
 
     @property
@@ -108,7 +106,6 @@ def assemble_sector(params: ModelParams, basis: SectorBasis) -> SectorMatrix:
     dim = len(basis)
     entries = np.zeros((dim, dim))
     hop = -0.5 * params.delta_inv
-    pairs = []
     for i, x in enumerate(basis):
         entries[i, i] = diagonal_energy(params, lattice, x)
         occupied = set(x)
@@ -118,11 +115,8 @@ def assemble_sector(params: ModelParams, basis: SectorBasis) -> SectorMatrix:
                     y = list(x)
                     y[k] = v
                     y.sort()
-                    j = basis.index_of(tuple(y))
-                    entries[i, j] = hop
-                    if i < j:
-                        pairs.append((i, j))
-    return SectorMatrix(basis=basis, entries=entries, hop_pairs=tuple(pairs))
+                    entries[i, basis.index_of(tuple(y))] = hop
+    return SectorMatrix(basis=basis, entries=entries)
 
 
 def field_diagonal(basis: SectorBasis, field_by_site: np.ndarray) -> np.ndarray:
@@ -158,13 +152,7 @@ def restrict(matrix: SectorMatrix, mask: RestrictionMask) -> SectorMatrix:
             raise DomainError(f"mask ordinal {i} outside [0, {dim})")
     idx = np.asarray(mask.kept, dtype=int)
     sub = matrix.entries[np.ix_(idx, idx)]
-    pos = {orig: new for new, orig in enumerate(mask.kept)}
-    pairs = tuple(
-        (pos[i], pos[j])
-        for i, j in matrix.hop_pairs
-        if i in pos and j in pos
-    )
-    return SectorMatrix(basis=matrix.basis, entries=sub, hop_pairs=pairs, kept=tuple(mask.kept))
+    return SectorMatrix(basis=matrix.basis, entries=sub, kept=tuple(mask.kept))
 
 
 def product_state_index(lattice: Lattice, x: Config) -> int:

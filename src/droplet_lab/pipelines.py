@@ -21,13 +21,14 @@ from .bounds import (
 )
 from .configspace import (
     Lattice,
+    all_cluster_configs,
     centered_cluster,
     config_distance,
     distance_to_clustered,
     enumerate_sector,
 )
 from .disorder import DisorderSpec, area_law_experiment, dos_decay_experiment
-from .droplet_variant import droplet_spectrum_report, gap_limit_check
+from .droplet_variant import gap_limit_check
 from .entanglement import (
     Bipartition,
     centered_block,
@@ -78,14 +79,6 @@ class PipelineResult:
     @property
     def all_pass(self) -> bool:
         return all(self.verdicts.values())
-
-
-def _droplet_support_configs(lattice: Lattice):
-    configs = [()]
-    for n in range(1, lattice.size + 1):
-        for s in range(-lattice.L, lattice.L - n + 2):
-            configs.append(tuple(range(s, s + n)))
-    return configs
 
 
 def spectrum_pipeline(
@@ -254,7 +247,7 @@ def dos_bound_pipeline(
     for n in range(lattice.size + 1):
         basis = enumerate_sector(lattice, n)
         dos = local_dos_by_sector(projector, n)
-        vectors = projector.selections[n].vectors
+        vectors = projector.selections[n].eigenvectors
         if vectors.shape[1]:
             worst_pointwise = max(
                 worst_pointwise, float((vectors**2 - dos[:, None]).max())
@@ -286,7 +279,9 @@ def ising_entropy_pipeline(
 ) -> PipelineResult:
     """Hartley bounds for cluster-supported states plus the saturation witness."""
     lattice = Lattice(L)
-    support = _droplet_support_configs(lattice)
+    support = [()]
+    for n in range(1, lattice.size + 1):
+        support.extend(all_cluster_configs(lattice, n))
     blocks = [
         Bipartition(lattice, lo, hi)
         for lo in lattice.sites
@@ -402,25 +397,11 @@ def entropy_scan_pipeline(
 
 def droplet_band_pipeline(delta_inv: float, L: int, n_list=(3, 4, 5, 6)) -> PipelineResult:
     """Band width and gap trends for the square-root boundary variant."""
-    lattice = Lattice(L)
-    n_list = tuple(n_list)
-    rows = []
-    widths = []
-    gaps = []
-    for n in n_list:
-        report = droplet_spectrum_report(delta_inv, lattice, n)
-        trendrow = (
-            n,
-            report.lowest_count,
-            report.band_center,
-            report.band_width,
-            report.gap,
-            (1.0 - delta_inv) - report.gap,
-        )
-        rows.append(trendrow)
-        widths.append(report.band_width)
-        gaps.append(report.gap)
-    trend = gap_limit_check(delta_inv, lattice, n_list)
+    trend = gap_limit_check(delta_inv, Lattice(L), n_list)
+    rows = tuple(
+        (r.n, r.lowest_count, r.band_center, r.band_width, r.gap, r.deficit) for r in trend.rows
+    )
+    widths = [r.band_width for r in trend.rows]
     verdicts = {
         "band_width_shrinks": all(b < a for a, b in zip(widths, widths[1:])),
         "gap_increases": trend.gap_increasing,
@@ -430,10 +411,10 @@ def droplet_band_pipeline(delta_inv: float, L: int, n_list=(3, 4, 5, 6)) -> Pipe
         command="droplet-band",
         table=Table(
             columns=("n", "lowest_count", "band_center", "band_width", "gap", "deficit"),
-            rows=tuple(rows),
+            rows=rows,
         ),
         verdicts=verdicts,
-        values={"final_gap": gaps[-1]},
+        values={"final_gap": trend.rows[-1].gap},
     )
 
 
@@ -598,7 +579,6 @@ def evolve_entropy_pipeline(
     if block_sizes is None:
         block_sizes = tuple(range(2, min(6, lattice.size - 2) + 1))
     block_sizes = tuple(block_sizes)
-    spectra = sector_spectra(params, lattice)
     projector = droplet_projector(params, lattice, window)
     scan = entropy_scan(
         params, lattice, window, block_sizes, (1.0,), seed=seed,
@@ -613,7 +593,7 @@ def evolve_entropy_pipeline(
         psi = random_droplet_state(projector, rng)
         n_cap = psi.n_max
         for t in times:
-            psi_t = evolve(spectra, psi, t)
+            psi_t = evolve(projector.selections, psi, t)
             for b in block_sizes:
                 part = centered_block(lattice, b)
                 s1 = renyi_entropy(matricize(psi_t, part), 1.0).value

@@ -243,9 +243,8 @@ def auto_window(params: ModelParams, fraction: float = 0.9) -> DropletWindow:
 class SectorSelection:
     """Eigenpairs of one sector falling inside the window."""
 
-    n: int
     eigenvalues: np.ndarray
-    vectors: np.ndarray  # dim x count, columns aligned with eigenvalues
+    eigenvectors: np.ndarray  # dim x count, columns aligned with eigenvalues
 
 
 @dataclass(frozen=True)
@@ -264,7 +263,7 @@ class DropletProjector:
     def sector_matrix(self, n: int) -> np.ndarray:
         """The projector block on sector n as a dense matrix (for tests)."""
         sel = self.selections[n]
-        return sel.vectors @ sel.vectors.T
+        return sel.eigenvectors @ sel.eigenvectors.T
 
 
 def spectral_floors(params: ModelParams, lattice: Lattice) -> np.ndarray:
@@ -312,14 +311,10 @@ def droplet_projector(
     for n in range(n_max + 1):
         if floors[n] > window.e_max + SKIP_MARGIN:
             dim = math.comb(lattice.size, n)
-            selections[n] = SectorSelection(
-                n=n, eigenvalues=np.empty(0), vectors=np.empty((dim, 0))
-            )
+            selections[n] = SectorSelection(np.empty(0), np.empty((dim, 0)))
             continue
         data = eigensolve(assemble_sector(params, enumerate_sector(lattice, n)), window.e_max)
-        selections[n] = SectorSelection(
-            n=n, eigenvalues=data.eigenvalues, vectors=data.eigenvectors
-        )
+        selections[n] = SectorSelection(data.eigenvalues, data.eigenvectors)
     return DropletProjector(lattice=lattice, window=window, selections=selections, n_max=n_max)
 
 
@@ -332,21 +327,21 @@ def local_dos(projector: DropletProjector, x: Config) -> float:
         )
     basis = enumerate_sector(projector.lattice, n)
     sel = projector.selections[n]
-    row = sel.vectors[basis.index_of(tuple(x)), :]
+    row = sel.eigenvectors[basis.index_of(tuple(x)), :]
     return float(np.dot(row, row))
 
 
 def local_dos_by_sector(projector: DropletProjector, n: int) -> np.ndarray:
     """All diagonal projector elements of sector n at once."""
     sel = projector.selections[n]
-    return np.einsum("ij,ij->i", sel.vectors, sel.vectors)
+    return np.einsum("ij,ij->i", sel.eigenvectors, sel.eigenvectors)
 
 
 def droplet_eigenstates(projector: DropletProjector):
     """Yield (n, eigenvalue, amplitude map) for every selected eigenpair."""
     for n, sel in sorted(projector.selections.items()):
         for j, lam in enumerate(sel.eigenvalues):
-            yield n, float(lam), AmplitudeMap(projector.lattice, {n: sel.vectors[:, j]})
+            yield n, float(lam), AmplitudeMap(projector.lattice, {n: sel.eigenvectors[:, j]})
 
 
 def random_droplet_state(
@@ -362,7 +357,7 @@ def random_droplet_state(
         if sector is not None
         else sorted(projector.selections.items())
     )
-    sizes = [sel.vectors.shape[1] for _, sel in items]
+    sizes = [sel.eigenvectors.shape[1] for _, sel in items]
     total = sum(sizes)
     if total == 0:
         raise DomainError("the selected droplet family is empty")
@@ -372,7 +367,7 @@ def random_droplet_state(
     offset = 0
     for (n, sel), m in zip(items, sizes):
         if m:
-            parts[n] = sel.vectors @ coeff[offset : offset + m]
+            parts[n] = sel.eigenvectors @ coeff[offset : offset + m]
         offset += m
     return AmplitudeMap(projector.lattice, parts)
 
@@ -463,8 +458,15 @@ def fit_exponential_envelope(points) -> EnvelopeFit:
     )
 
 
-def evolve(spectra: dict[int, SpectralData], psi: AmplitudeMap, t: float) -> AmplitudeMap:
-    """Apply the unitary phase factors exp(-i * eigenvalue * t) sector by sector."""
+def evolve(
+    spectra: dict[int, SpectralData | SectorSelection], psi: AmplitudeMap, t: float
+) -> AmplitudeMap:
+    """Apply the unitary phase factors exp(-i * eigenvalue * t) sector by sector.
+
+    `spectra` holds per sector either every eigenpair (`sector_spectra`) or
+    only some, such as a projector's in-window selections; with only some,
+    the state must lie in their span, or the norm-drift check fails.
+    """
     psi.require_normalized()
     parts = {}
     for n, vec in psi.parts.items():

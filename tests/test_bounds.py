@@ -189,7 +189,7 @@ def test_check_input_validation():
 
 
 def test_sumcheck_flags():
-    good = SumCheck(lhs=1.0, bound=2.0, half_width=10, doubling_delta=1e-12)
+    good = SumCheck(lhs=1.0, bound=2.0, doubling_delta=1e-12)
     assert good.holds and good.stable
-    assert not SumCheck(lhs=3.0, bound=2.0, half_width=10, doubling_delta=0.0).holds
-    assert not SumCheck(lhs=1.0, bound=2.0, half_width=10, doubling_delta=1e-3).stable
+    assert not SumCheck(lhs=3.0, bound=2.0, doubling_delta=0.0).holds
+    assert not SumCheck(lhs=1.0, bound=2.0, doubling_delta=1e-3).stable

@@ -63,10 +63,10 @@ def test_summary_round_trip():
 
 def test_resolve_cache_dir_precedence(monkeypatch, tmp_path):
     monkeypatch.delenv("DROPLET_LAB_CACHE", raising=False)
-    assert resolve_cache_dir(None, tmp_path) == Path("results") / "cache"
+    assert resolve_cache_dir(None) == Path("results") / "cache"
     monkeypatch.setenv("DROPLET_LAB_CACHE", str(tmp_path / "envcache"))
-    assert resolve_cache_dir(None, tmp_path) == tmp_path / "envcache"
-    assert resolve_cache_dir(str(tmp_path / "flag"), tmp_path) == tmp_path / "flag"
+    assert resolve_cache_dir(None) == tmp_path / "envcache"
+    assert resolve_cache_dir(str(tmp_path / "flag")) == tmp_path / "flag"
 
 
 def test_unknown_command_exits_one(capsys):
@@ -196,3 +196,53 @@ def test_run_without_verdicts_exits_nonzero_with_note(tmp_path, monkeypatch, cap
     assert NO_VERDICTS_NOTE in record.notes
     # The cached record fails the same way.
     assert run(args + ["--outdir", str(tmp_path / "b")]) == EXIT_NO_VERDICTS
+
+
+COMMON_DEFAULTS = {"L": 4, "delta_inv": 0.1, "seed": 0, "window_fraction": 0.9}
+DISORDER_DEFAULTS = {"dist": "uniform", "dist_a": 0.0, "dist_b": 2.0}
+DEFAULT_OPTIONS = {
+    "spectrum": {"boundary_mode": "standard"},
+    "thresholds": {"field_draws": 3, "k": [1, 2, 3]},
+    "ct-decay": {"n": [2, 3], "stability_L": None},
+    "dos-bound": {},
+    "ising-entropy": {"states": 500, "witness_n": [2, 3, 4]},
+    "entropy-scan": {"alphas": [0.0, 0.5, 1.0, 2.0], "block_sizes": None, "n_random": 64},
+    "droplet-band": {"n_list": [3, 4, 5, 6]},
+    "disorder-dos": {
+        **DISORDER_DEFAULTS, "j_max": None, "probe_n": [1, 2, 3, 4], "samples": 200,
+    },
+    "area-law": {
+        **DISORDER_DEFAULTS, "alpha": 1.0, "block_sizes": [2, 3, 4, 5], "contrast": True,
+        "epsilon": 0.5, "samples": 100,
+    },
+    "sum-constants": {"b": [2, 3, 4], "mu": [0.5, 1.0, 2.0], "n": [2, 3, 4]},
+    "evolve-entropy": {"block_sizes": None, "states": 5, "times": [0.0, 1.0, 10.0, 100.0]},
+    "verify-all": {"area_samples": 30, "disorder_samples": 60},
+}
+
+
+def test_default_options_of_every_command():
+    # The options (and so the summary's config section and the cache key)
+    # each command parses from its defaults.
+    assert set(cli.COMMANDS) == set(DEFAULT_OPTIONS)
+    parser = cli.build_parser()
+    for command, extra in DEFAULT_OPTIONS.items():
+        options = cli._options_dict(parser.parse_args([command]))
+        assert options == {**COMMON_DEFAULTS, **extra}, command
+        assert list(options) == sorted(options)
+
+
+def test_commands_look_up_their_pipeline_when_run(tmp_path, monkeypatch):
+    calls = []
+
+    def fake(*args, **kwargs):
+        calls.append((args, kwargs))
+        return pipelines.PipelineResult(
+            command="droplet-band", table=Table(columns=("n",), rows=((3,),)),
+            verdicts={"ok": True}, values={},
+        )
+
+    monkeypatch.setattr(pipelines, "droplet_band_pipeline", fake)
+    args = ["droplet-band", "--L", "2", "--n-list", "3", "4", "--no-cache"]
+    assert run(args + ["--outdir", str(tmp_path)]) == 0
+    assert calls == [((0.1, 2, [3, 4]), {})]

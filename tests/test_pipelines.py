@@ -1,5 +1,8 @@
 """Pipeline-level behavior at reduced desk scale."""
 
+import importlib
+import pkgutil
+
 from droplet_lab.disorder import TREND_TOL, DisorderSpec
 from droplet_lab.pipelines import (
     area_law_pipeline,
@@ -127,3 +130,42 @@ def test_evolve_entropy_pipeline():
     )
     assert result.verdicts["dynamics_stay_below_envelope"]
     assert result.values["worst_headroom"] >= 0.0
+
+
+def _count_eigensolves(monkeypatch):
+    """Patch `eigensolve` in every package namespace; return the (full, windowed) tally."""
+    import droplet_lab
+    from droplet_lab import spectral
+
+    original = spectral.eigensolve
+    tally = {"full": 0, "windowed": 0}
+
+    def counting(matrix, e_max=None):
+        tally["full" if e_max is None else "windowed"] += 1
+        return original(matrix, e_max)
+
+    modules = [droplet_lab] + [
+        importlib.import_module(f"droplet_lab.{info.name}")
+        for info in pkgutil.iter_modules(droplet_lab.__path__)
+        if info.name != "__main__"
+    ]
+    for module in modules:
+        if getattr(module, "eigensolve", None) is original:
+            monkeypatch.setattr(module, "eigensolve", counting)
+    return tally
+
+
+def test_droplet_band_solves_each_sector_once(monkeypatch):
+    tally = _count_eigensolves(monkeypatch)
+    result = droplet_band_pipeline(0.1, 5)
+    assert tally == {"full": 4, "windowed": 0}
+    assert [row[0] for row in result.table.rows] == [3, 4, 5, 6]
+    for _, _, _, _, gap, deficit in result.table.rows:
+        assert deficit == (1.0 - 0.1) - gap
+
+
+def test_evolve_entropy_makes_no_full_solve(monkeypatch):
+    tally = _count_eigensolves(monkeypatch)
+    result = evolve_entropy_pipeline(0.1, 4)
+    assert tally == {"full": 0, "windowed": 10}
+    assert result.verdicts["dynamics_stay_below_envelope"]

@@ -11,7 +11,7 @@ from droplet_lab.configspace import (
     config_distance,
     enumerate_sector,
 )
-from droplet_lab.errors import DomainError
+from droplet_lab.errors import DomainError, NumericError
 from droplet_lab.hamiltonian import (
     ModelParams,
     assemble_full_oracle,
@@ -274,6 +274,32 @@ def test_evolve_eigenvector_is_pure_phase():
     out = evolve(spectra, psi, 2.5)
     expected = np.exp(-1j * lam * 2.5) * spectra[n].eigenvectors[:, 0]
     assert np.abs(out.parts[n] - expected).max() <= 1e-12
+
+
+@pytest.mark.parametrize("L", [1, 2, 3, 4])
+def test_evolve_in_window_eigenpairs_matches_full_spectra(L):
+    lat = Lattice(L)
+    params = ModelParams(delta_inv=0.1)
+    spectra = sector_spectra(params, lat)
+    proj = droplet_projector(params, lat, auto_window(params))
+    rng = np.random.default_rng(L)
+    for _ in range(3):
+        psi = random_droplet_state(proj, rng)
+        for t in (0.0, 1.0, 10.0, 100.0):
+            windowed = evolve(proj.selections, psi, t)
+            full = evolve(spectra, psi, t)
+            assert windowed.parts.keys() == full.parts.keys()
+            for n, vec in full.parts.items():
+                assert np.abs(windowed.parts[n] - vec).max() <= 1e-12
+
+
+def test_evolve_in_window_eigenpairs_rejects_state_outside_their_span():
+    lat = Lattice(2)
+    params = ModelParams(delta_inv=0.1)
+    proj = droplet_projector(params, lat, auto_window(params))
+    outside = from_amplitudes(lat, {(-2, 0): 1.0})  # two clusters, far above the window
+    with pytest.raises(NumericError):
+        evolve(proj.selections, outside, 1.0)
 
 
 def test_evolve_rejects_unnormalized():

@@ -121,7 +121,7 @@ def test_windowed_projector_matches_full_selection(L, kind, seed, boundary_mode)
         w, keep, vectors = _full_selection(params, lattice, window.e_max, n)
         sel = projector.selections[n]
         rank += int(keep.sum())
-        assert sel.vectors.shape == (len(w), int(keep.sum()))
+        assert sel.eigenvectors.shape == (len(w), int(keep.sum()))
         assert np.abs(sel.eigenvalues - w[keep]).max(initial=0.0) <= 1e-12
         full_block = vectors[:, keep] @ vectors[:, keep].T
         assert np.abs(projector.sector_matrix(n) - full_block).max(initial=0.0) <= 1e-10
@@ -168,7 +168,7 @@ def test_canonical_vectors_agree_across_drivers(L, kind, seed):
         sel = projector.selections[n]
         keep = (full.eigenvalues >= -EDGE_TIE_TOL) & (full.eigenvalues <= window.e_max + EDGE_TIE_TOL)
         in_window = isolated[keep]
-        windowed = sel.vectors[:, in_window]
+        windowed = sel.eigenvectors[:, in_window]
         assert np.abs(full.eigenvectors[:, keep][:, in_window] - windowed).max(initial=0.0) <= 1e-9
         compared += int(in_window.sum())
     assert compared > 0
