@@ -3,7 +3,8 @@
 Everything here works per particle-number sector: dense symmetric
 eigensolves (full, or only for the eigenpairs inside an energy window), the
 lower-threshold checks for multi-cluster restrictions, the spectral floors
-that let a window skip whole sectors, the low-energy spectral projector and
+and the Feshbach floors of in-window eigenvalues that let a window skip
+whole sectors, the low-energy spectral projector and
 its diagonal (the local density of states), the positive-definite restricted
 Green's function, and phase evolution of amplitude maps.  Exponential-decay
 claims are reduced to least-squares fits on the log scale so they become
@@ -18,9 +19,16 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .configspace import Config, Lattice, enumerate_sector
+from .configspace import Config, Lattice, all_cluster_configs, enumerate_sector
 from .errors import DomainError, NumericError, ResourceError, VerificationError
-from .hamiltonian import ModelParams, SectorMatrix, assemble_sector, cluster_mask, restrict
+from .hamiltonian import (
+    ModelParams,
+    SectorMatrix,
+    assemble_sector,
+    cluster_mask,
+    diagonal_energy,
+    restrict,
+)
 from .states import AmplitudeMap
 
 EIG_TOL = 1e-10
@@ -285,6 +293,37 @@ def spectral_floors(params: ModelParams, lattice: Lattice) -> np.ndarray:
     return floors
 
 
+def window_floors(params: ModelParams, lattice: Lattice, e_max: float) -> np.ndarray:
+    """Lower bounds on the eigenvalues E <= e_max of each sector n = 0..|lattice|.
+
+    Sectors 2 <= n <= |lattice| - 1 sharpen the floor of `spectral_floors`
+    with a Feshbach (Schur-complement) bound.  Split the sector into the
+    single-cluster configurations P and the rest Q:
+    - QHQ >= lambda_Q = 2(1 - delta_inv) + (sum of the n smallest field
+      values), the k=2 cluster threshold (`threshold_check`) plus Weyl;
+    - ||PHQ|| <= delta_inv: a single cluster reaches at most two
+      configurations of Q by one hop, each of them is reached from at most
+      two single clusters, and a hop has amplitude delta_inv / 2;
+    - PHP is diagonal, since for n >= 2 no hop joins two single clusters.
+    An eigenvalue E <= e_max < lambda_Q of the sector is an eigenvalue of the
+    Feshbach map PHP - PHQ (QHQ - E)^-1 QHP, so
+    E >= min diag(PHP) - delta_inv^2 / (lambda_Q - e_max).
+    Sector 1, where PHP is tridiagonal, and the full sector keep the Weyl
+    floor, as does every sector when e_max >= lambda_Q.
+    """
+    floors = spectral_floors(params, lattice)
+    if params.boundary_mode != "standard":
+        return floors
+    values = np.sort([params.field_value(s) for s in lattice.sites])
+    for n in range(2, lattice.size):
+        gap = 2.0 * (1.0 - params.delta_inv) + values[:n].sum() - e_max
+        if gap <= 0:
+            continue
+        lowest = min(diagonal_energy(params, lattice, x) for x in all_cluster_configs(lattice, n))
+        floors[n] = max(floors[n], lowest - params.delta_inv**2 / gap)
+    return floors
+
+
 def droplet_projector(
     params: ModelParams,
     lattice: Lattice,
@@ -294,10 +333,10 @@ def droplet_projector(
 ) -> DropletProjector:
     """Select all eigenpairs with eigenvalue in [0, e_max] across sectors 0..n_max.
 
-    A sector whose spectral floor (`spectral_floors`) lies above the window
-    edge by more than SKIP_MARGIN is neither assembled nor solved and gets an
-    empty selection; every other sector is solved for its in-window
-    eigenpairs only.
+    A sector whose in-window floor (`window_floors`) lies above the window
+    edge by more than SKIP_MARGIN has no eigenvalue in the window: it is
+    neither assembled nor solved and gets an empty selection.  Every other
+    sector is solved for its in-window eigenpairs only.
     """
     if not override_window_check and not window.is_valid_for(params):
         raise DomainError(
@@ -306,7 +345,7 @@ def droplet_projector(
         )
     if n_max is None:
         n_max = lattice.size
-    floors = spectral_floors(params, lattice)
+    floors = window_floors(params, lattice, window.e_max)
     selections = {}
     for n in range(n_max + 1):
         if floors[n] > window.e_max + SKIP_MARGIN:

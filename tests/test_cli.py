@@ -177,6 +177,18 @@ def test_source_digest_is_lazy_and_stable():
     assert len(digest) == 64 and digest == cli.source_digest()
 
 
+def test_import_leaves_scipy_optimize_unloaded():
+    # scipy.optimize is needed only by the log-bound fit and costs about a
+    # quarter second to import, so it must not load with the package.
+    probe = "import sys, droplet_lab, droplet_lab.cli; print('scipy.optimize' in sys.modules)"
+    src = str(Path(cli.__file__).parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert out.stdout.strip() == "False"
+
+
 def test_run_without_verdicts_exits_nonzero_with_note(tmp_path, monkeypatch, capsys):
     # The droplet boundary mode skips the zero-mode check and, with the
     # oracle limit at 0 sites, the oracle comparison too: no verdict is left.
