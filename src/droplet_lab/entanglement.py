@@ -229,6 +229,32 @@ class HartleyBoundReport:
     slack: float
 
 
+def _boundary_bound(part: Bipartition) -> float:
+    """The Hartley bound ln(3 + |boundary| * (|B| - 1)) of a cluster-supported state."""
+    return float(np.log(3 + part.boundary_size * (part.size - 1)))
+
+
+def _require_clustered(lattice: Lattice, parts: dict[int, np.ndarray]) -> None:
+    """Raise DomainError naming the first state with weight off the single clusters.
+
+    `parts` maps a sector n to the amplitudes of one or more states, one row each.
+    """
+    outside = {
+        m: (np.abs(np.atleast_2d(values)) > 1e-14) & _multi_cluster(enumerate_sector(lattice, m))
+        for m, values in parts.items()
+    }
+    at_fault = [np.flatnonzero(mask.any(axis=1)) for mask in outside.values()]
+    first = min((int(rows[0]) for rows in at_fault if rows.size), default=None)
+    if first is None:
+        return
+    offenders = [
+        enumerate_sector(lattice, m)[int(i)]
+        for m, mask in outside.items()
+        for i in np.flatnonzero(mask[first])
+    ]
+    raise DomainError(f"state is not supported on clustered configurations: {offenders[:5]}")
+
+
 def hartley_bound_check(
     psi: AmplitudeMap, part: Bipartition, n: int | None = None
 ) -> HartleyBoundReport:
@@ -238,20 +264,11 @@ def hartley_bound_check(
     The boundary bound is ln(3 + |boundary| * (|B| - 1)); with a particle cap
     n the tighter ln(3 + 2(min(n, |B|) - 1)) is checked as well.
     """
-    lattice = psi.lattice
-    offenders = []
-    for m, vec in psi.parts.items():
-        basis = enumerate_sector(lattice, m)
-        outside = (np.abs(vec) > 1e-14) & _multi_cluster(basis)
-        offenders.extend(basis[int(i)] for i in np.flatnonzero(outside))
-    if offenders:
-        raise DomainError(
-            f"state is not supported on clustered configurations: {offenders[:5]}"
-        )
+    _require_clustered(psi.lattice, psi.parts)
     if n is not None and psi.n_max > n:
         raise DomainError(f"state occupies sector {psi.n_max} beyond the cap n={n}")
     s0 = renyi_entropy(matricize(psi, part), 0.0).value
-    boundary_bound = float(np.log(3 + part.boundary_size * (part.size - 1)))
+    boundary_bound = _boundary_bound(part)
     particle_bound = None
     if n is not None:
         s = min(n, part.size)
@@ -267,6 +284,48 @@ def hartley_bound_check(
         particle_bound=particle_bound,
         slack=bound - s0,
     )
+
+
+def hartley_bound_batch(
+    states: list[AmplitudeMap], parts: list[Bipartition]
+) -> tuple[np.ndarray, np.ndarray]:
+    """`hartley_bound_check` without a particle cap, for many states and blocks at once.
+
+    Returns the Hartley entropies, one row per state and one column per
+    block, and the blocks' boundary bounds.  Per block, every state is
+    matricized into one (states, rows, cols) array (sectors fill disjoint
+    entries) and all Schmidt spectra come from one batched SVD; the rank is
+    counted as `renyi_entropy(., 0)` counts it.  The states must be unit
+    vectors (`_schmidt_rows` checks it).  Raises what the per-state check
+    raises, for the first state at fault.
+    """
+    lattice = parts[0].lattice
+    sectors = sorted({n for psi in states for n in psi.parts})
+    amplitudes = {
+        n: np.array(
+            [psi.parts.get(n, np.zeros(len(enumerate_sector(lattice, n)))) for psi in states]
+        )
+        for n in sectors
+    }
+    _require_clustered(lattice, amplitudes)
+    dtype = np.result_type(float, *amplitudes.values())
+    values = np.empty((len(states), len(parts)))
+    for b, part in enumerate(parts):
+        size = part.size
+        matrices = np.zeros((len(states), 1 << size, 1 << (lattice.size - size)), dtype=dtype)
+        for n, rows_of_states in amplitudes.items():
+            rows, cols = _split_indices(lattice, part.sites, n)
+            matrices[:, rows, cols] = rows_of_states
+        values[:, b] = _renyi_rows(_schmidt_rows(matrices), 0.0)
+    bounds = np.array([_boundary_bound(part) for part in parts])
+    over = values > bounds + 1e-9
+    if over.any():
+        j, b = np.argwhere(over)[0]
+        raise VerificationError(
+            f"Hartley entropy {values[j, b]!r} exceeds the bound {bounds[b]!r} "
+            f"for |B|={parts[b].size}"
+        )
+    return values, bounds
 
 
 @dataclass(frozen=True)
@@ -311,21 +370,26 @@ def _window_stack(
     return stack, layout
 
 
-def _candidate_spectra(stack: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-    """Descending Schmidt spectra of the candidates sum_i coeffs[k, i] M_i, one row each.
+def _schmidt_rows(matrices: np.ndarray) -> np.ndarray:
+    """Descending Schmidt spectra of a stack of matricized unit vectors, one row each.
 
-    The coefficient rows are unit vectors and the stacked vectors
-    orthonormal, so every spectrum must sum to 1 within FROBENIUS_TOL.
+    Every spectrum must sum to 1 within FROBENIUS_TOL.
     """
-    sv = np.linalg.svd(np.tensordot(coeffs, stack, axes=1), compute_uv=False)
+    sv = np.linalg.svd(matrices, compute_uv=False)
     lam = sv * sv
     drift = float(np.abs(lam.sum(axis=1) - 1.0).max(initial=0.0))
     if drift > FROBENIUS_TOL:
-        raise NumericError(
-            f"Schmidt spectra of unit candidates miss 1 by {drift:.3e}: "
-            "the stacked vectors are not orthonormal"
-        )
+        raise NumericError(f"Schmidt spectra of unit vectors miss 1 by {drift:.3e}")
     return lam
+
+
+def _candidate_spectra(stack: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """Descending Schmidt spectra of the candidates sum_i coeffs[k, i] M_i, one row each.
+
+    The coefficient rows are unit vectors and the stacked vectors must be
+    orthonormal, or `_schmidt_rows` finds spectra that miss 1.
+    """
+    return _schmidt_rows(np.tensordot(coeffs, stack, axes=1))
 
 
 def _renyi_rows(lam: np.ndarray, alpha: float) -> np.ndarray:

@@ -4,14 +4,18 @@ The Hamiltonian conserves particle number, so it is assembled sector by
 sector in the hard-core basis: diagonal entries carry half the domain-wall
 count plus the boundary-field and on-site-field energies, off-diagonal
 entries couple configurations related by one hop into an empty neighbor with
-amplitude -delta_inv/2.  An independent full tensor-product assembly over the
-2^|lattice| spin space serves as the oracle the sector path is tested against.
+amplitude -delta_inv/2.  The configuration loop `assemble_sector` builds a
+dense matrix; `assemble_sector_sparse` builds the same entries as a sparse
+array with one vectorized pass per bond, for the sectors large enough to be
+solved by Lanczos.  An independent full tensor-product assembly over the
+2^|lattice| spin space serves as the oracle both are tested against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import reduce
+from math import comb
 from typing import Mapping
 
 import numpy as np
@@ -68,10 +72,11 @@ class ModelParams:
 
 @dataclass(frozen=True)
 class SectorMatrix:
-    """Dense symmetric matrix of one particle-number sector (or a restriction).
+    """Symmetric matrix of one particle-number sector (or a restriction).
 
-    `kept` is None for a full sector; for a restriction it lists the retained
-    ordinals of `basis`.
+    `entries` is a dense array, or a `scipy.sparse` CSR array when built by
+    `assemble_sector_sparse`.  `kept` is None for a full sector; for a
+    restriction it lists the retained ordinals of `basis`.
     """
 
     basis: SectorBasis
@@ -116,6 +121,51 @@ def assemble_sector(params: ModelParams, basis: SectorBasis) -> SectorMatrix:
                     y[k] = v
                     y.sort()
                     entries[i, basis.index_of(tuple(y))] = hop
+    return SectorMatrix(basis=basis, entries=entries)
+
+
+def assemble_sector_sparse(params: ModelParams, basis: SectorBasis) -> SectorMatrix:
+    """`assemble_sector`'s entries, bit for bit, as a CSR array.
+
+    Occupations are a (dim, |lattice|) bit mask.  The basis is in colex
+    order, so configuration i has rank sum_k C(i_k, k) = i, where i_k is the
+    site index of the k-th particle and k its cumulative occupation count.
+    A hop across bond (j, j+1) moves particle k between the two sites and
+    changes the rank by C(j+1, k) - C(j, k) (rightward), so each bond is one
+    vectorized pass.  Field energies are summed particle by particle from the
+    left, in `diagonal_energy`'s order, so the diagonal is identical.  Slower
+    than the loop for small sectors; meant for the Lanczos solves.
+    """
+    import scipy.sparse  # imported here: only sectors solved by Lanczos need it
+
+    lattice = basis.lattice
+    dim, N, n = len(basis), lattice.size, basis.n
+    sites = np.array(basis.configs, dtype=np.int64).reshape(dim, n) + lattice.L
+    occ = np.zeros((dim, N), dtype=bool)
+    occ[np.arange(dim)[:, None], sites] = True
+    values = np.array([params.field_value(u) for u in lattice.sites])
+    onsite = np.zeros(dim)
+    for k in range(n):
+        onsite = onsite + values[sites[:, k]]
+    walls = np.sum(occ[:, :-1] != occ[:, 1:], axis=1)
+    boundary = occ[:, 0].astype(int) + occ[:, -1]
+    diagonal = 0.5 * walls + params.beta * boundary + onsite
+    binom = np.array([[comb(j, k) for k in range(n + 1)] for j in range(N + 1)], dtype=np.int64)
+    count = np.cumsum(occ, axis=1)
+    rows, cols = [np.arange(dim)], [np.arange(dim)]
+    for j in range(N - 1):
+        right = np.flatnonzero(occ[:, j] & ~occ[:, j + 1])
+        left = np.flatnonzero(~occ[:, j] & occ[:, j + 1])
+        k_right, k_left = count[right, j], count[left, j + 1]
+        rows += [right, left]
+        cols += [
+            right + binom[j + 1, k_right] - binom[j, k_right],
+            left + binom[j, k_left] - binom[j + 1, k_left],
+        ]
+    rows, cols = np.concatenate(rows), np.concatenate(cols)
+    data = np.full(len(rows), -0.5 * params.delta_inv)
+    data[:dim] = diagonal
+    entries = scipy.sparse.csr_array((data, (rows, cols)), shape=(dim, dim))
     return SectorMatrix(basis=basis, entries=entries)
 
 

@@ -1,7 +1,8 @@
 """Eigendecompositions, spectral windows, restricted resolvents, dynamics.
 
-Everything here works per particle-number sector: dense symmetric
-eigensolves (full, or only for the eigenpairs inside an energy window), the
+Everything here works per particle-number sector: symmetric eigensolves
+(full and dense, or only for the eigenpairs inside an energy window, by
+Lanczos for large sectors), the
 lower-threshold checks for multi-cluster restrictions, the spectral floors
 and the Feshbach floors of in-window eigenvalues that let a window skip
 whole sectors, the low-energy spectral projector and
@@ -25,6 +26,7 @@ from .hamiltonian import (
     ModelParams,
     SectorMatrix,
     assemble_sector,
+    assemble_sector_sparse,
     cluster_mask,
     diagonal_energy,
     restrict,
@@ -32,7 +34,17 @@ from .hamiltonian import (
 from .states import AmplitudeMap
 
 EIG_TOL = 1e-10
+# Largest sector solved densely: its matrix alone takes 8 dim^2 bytes
+# (1.8 GB at the cap).  A Lanczos solve holds the sparse matrix, with at most
+# 2n + 1 entries a row, and 3k Lanczos vectors of 8 dim bytes: about 0.4 GB
+# at its own cap and k = 64.
 SECTOR_DIM_CAP = 15_000
+LANCZOS_DIM_CAP = 250_000
+# Windowed solves of larger sectors use implicitly restarted Lanczos
+# (ARPACK through scipy.sparse.linalg.eigsh), starting at LANCZOS_START_K
+# eigenpairs; smaller sectors, and every full solve, stay dense.
+LANCZOS_MIN_DIM = 1000
+LANCZOS_START_K = 8
 EDGE_TIE_TOL = 1e-12
 # The windowed solve asks LAPACK for a slightly wider interval than the
 # closed window and then applies the window's own mask, so an eigenvalue on
@@ -84,11 +96,54 @@ def _canonical_signs(vectors: np.ndarray) -> np.ndarray:
     return vectors
 
 
+def _require_dim(dim: int, cap: int, solver: str) -> None:
+    if dim > cap:
+        raise ResourceError(
+            f"sector dimension {dim} exceeds the cap {cap} of a {solver} solve; "
+            "reduce L or the sector range"
+        )
+
+
+def _lanczos_window(entries, lo: float, hi: float):
+    """In-window eigenpairs of a large sector by Lanczos, or None.
+
+    Asks for the k smallest eigenpairs and doubles k until the largest one
+    returned lies above the padded window edge, so every in-window eigenvalue
+    is among them.  Returns None when k would reach dim - 1, where ARPACK
+    stops and the dense solve is the cheaper one anyway.  The start vector
+    is seeded by the dimension alone: ARPACK's own start depends on earlier
+    calls, and a reflection-symmetric start (such as all ones) would keep the
+    Krylov space inside one parity sector of the field-free chain.
+    """
+    import scipy.sparse.linalg  # imported here: only large sectors need it
+
+    dim = entries.shape[0]
+    start = np.random.default_rng(dim).standard_normal(dim)
+    k = LANCZOS_START_K
+    while k < dim - 1:
+        try:
+            w, v = scipy.sparse.linalg.eigsh(
+                entries, k=k, which="SA", v0=start, ncv=min(dim, 3 * k)
+            )
+        except scipy.sparse.linalg.ArpackError as exc:  # pragma: no cover
+            raise NumericError(f"Lanczos eigensolve failed: {exc}") from exc
+        order = np.argsort(w)
+        w, v = w[order], v[:, order]
+        if w[-1] > hi + WINDOW_PAD:
+            keep = (w >= lo) & (w <= hi)
+            return w[keep], v[:, keep]
+        k *= 2
+    return None
+
+
 def eigensolve(matrix: SectorMatrix, e_max: float | None = None) -> SpectralData:
-    """Dense symmetric eigendecomposition, validated against EIG_TOL.
+    """Symmetric eigendecomposition, validated against EIG_TOL.
 
     With `e_max` only the eigenpairs in the closed window
-    [-EDGE_TIE_TOL, e_max + EDGE_TIE_TOL] are computed and returned.
+    [-EDGE_TIE_TOL, e_max + EDGE_TIE_TOL] are computed and returned: by
+    Lanczos (`_lanczos_window`) for sectors above LANCZOS_MIN_DIM, by LAPACK
+    otherwise.  Full solves are dense.  `matrix.entries` may be dense or a
+    sparse array; a dense solve densifies a sparse one.
     Columns come back sign-canonical, so the full and the windowed solve give
     the same vector for a non-degenerate eigenvalue.  Up to _VALIDATE_FULL_DIM
     columns are validated in full; above it the residual and orthonormality
@@ -96,27 +151,33 @@ def eigensolve(matrix: SectorMatrix, e_max: float | None = None) -> SpectralData
     than the solve itself.
     """
     dim = matrix.dim
-    if dim > SECTOR_DIM_CAP:
-        raise ResourceError(
-            f"sector dimension {dim} exceeds the cap {SECTOR_DIM_CAP}; "
-            "reduce L or the sector range"
-        )
-    try:
-        if e_max is None:
-            w, v = scipy.linalg.eigh(matrix.entries)
-        else:
-            lo, hi = -EDGE_TIE_TOL, e_max + EDGE_TIE_TOL
-            w, v = scipy.linalg.eigh(
-                matrix.entries, subset_by_value=(lo - WINDOW_PAD, hi + WINDOW_PAD)
-            )
-            keep = (w >= lo) & (w <= hi)
-            w, v = w[keep], v[:, keep]
-    except scipy.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails
-        raise NumericError(f"eigensolve failed to converge: {exc}") from exc
+    entries = matrix.entries
+    lo = -EDGE_TIE_TOL
+    found = None
+    if e_max is not None and dim > LANCZOS_MIN_DIM:
+        _require_dim(dim, LANCZOS_DIM_CAP, "Lanczos")
+        found = _lanczos_window(entries, lo, e_max + EDGE_TIE_TOL)
+    if found is not None:
+        w, v = found
+    else:
+        _require_dim(dim, SECTOR_DIM_CAP, "dense")
+        dense = entries if isinstance(entries, np.ndarray) else entries.toarray()
+        try:
+            if e_max is None:
+                w, v = scipy.linalg.eigh(dense)
+            else:
+                hi = e_max + EDGE_TIE_TOL
+                w, v = scipy.linalg.eigh(
+                    dense, subset_by_value=(lo - WINDOW_PAD, hi + WINDOW_PAD)
+                )
+                keep = (w >= lo) & (w <= hi)
+                w, v = w[keep], v[:, keep]
+        except scipy.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails
+            raise NumericError(f"eigensolve failed to converge: {exc}") from exc
     v = _canonical_signs(v)
     # Row-sum norm: an upper bound on the spectral norm that a windowed solve
     # cannot read off its own eigenvalues.
-    scale = max(1.0, float(np.abs(matrix.entries).sum(axis=1).max(initial=0.0)))
+    scale = max(1.0, float(abs(entries).sum(axis=1).max(initial=0.0)))
     count = len(w)
     if count:
         if count <= _VALIDATE_FULL_DIM:
@@ -124,7 +185,7 @@ def eigensolve(matrix: SectorMatrix, e_max: float | None = None) -> SpectralData
         else:
             cols = np.random.default_rng(count).choice(count, _VALIDATE_COLUMNS, replace=False)
         sub = v[:, cols]
-        residual = np.abs(matrix.entries @ sub - sub * w[cols]).max()
+        residual = np.abs(entries @ sub - sub * w[cols]).max()
         ortho = np.abs(sub.T @ sub - np.eye(len(cols))).max()
     else:
         residual = ortho = 0.0
@@ -162,9 +223,17 @@ def ground_state_check(params: ModelParams, lattice: Lattice, tol: float = 1e-10
         raise DomainError("ground-state check requires a vanishing on-site field")
     if params.boundary_mode != "standard":
         raise DomainError("ground-state check requires the standard boundary mode")
+    return zero_mode_report(sector_spectra(params, lattice), tol)
+
+
+def zero_mode_report(spectra: dict[int, SpectralData], tol: float = 1e-10) -> GroundStateReport:
+    """`ground_state_check` read off full spectra of every sector, already solved.
+
+    The spectra must be those of the field-free chain in the standard
+    boundary mode; raises VerificationError where the claim fails.
+    """
     lowest: list[tuple[float, int]] = []
-    for n in range(lattice.size + 1):
-        data = eigensolve(assemble_sector(params, enumerate_sector(lattice, n)))
+    for n, data in sorted(spectra.items()):
         if data.eigenvalues[0] < -tol:
             raise VerificationError(
                 f"negative eigenvalue {data.eigenvalues[0]!r} in sector n={n}"
@@ -195,7 +264,7 @@ def threshold_check(params: ModelParams, lattice: Lattice, k: int) -> float:
 
     The margin is computed for the field-free chain; when the params carry a
     field the restricted full matrix is additionally checked to dominate the
-    restricted field-free one (the added diagonal must be non-negative).
+    restricted field-free one (`field_dominance_check`).
     """
     if k < 1:
         raise DomainError(f"cluster threshold index k must be >= 1, got {k}")
@@ -206,20 +275,33 @@ def threshold_check(params: ModelParams, lattice: Lattice, k: int) -> float:
         mask = cluster_mask(basis, k)
         if not mask.kept:
             continue
-        h_matrix = assemble_sector(bare, basis)
-        h_restricted = restrict(h_matrix, mask)
-        lowest = eigensolve(h_restricted).eigenvalues[0]
+        lowest = eigensolve(restrict(assemble_sector(bare, basis), mask)).eigenvalues[0]
         margin = min(margin, float(lowest) - k * (1.0 - params.delta_inv))
-        if params.field is not None:
-            full = restrict(assemble_sector(params, basis), mask)
-            added = np.diag(full.entries - h_restricted.entries)
-            if added.min(initial=0.0) < -1e-12 or np.abs(
-                (full.entries - h_restricted.entries) - np.diag(added)
-            ).max() > 1e-12:
-                raise VerificationError(
-                    f"field term fails to dominate in sector n={n}, k={k}"
-                )
+    if params.field is not None:
+        field_dominance_check(params, lattice, k)
     return margin
+
+
+def field_dominance_check(params: ModelParams, lattice: Lattice, k: int) -> None:
+    """Check that the field only adds a non-negative diagonal to the >=k-cluster restriction.
+
+    The restrictions for larger k are sub-blocks of this one, so they pass
+    with it.  Assembles every sector once with and once without the field,
+    and raises VerificationError for the first sector where the difference
+    of the restrictions is not such a diagonal.
+    """
+    for n in range(lattice.size + 1):
+        basis = enumerate_sector(lattice, n)
+        idx = np.asarray(cluster_mask(basis, k).kept, dtype=int)
+        if not idx.size:
+            continue
+        added = assemble_sector(params, basis).entries - assemble_sector(
+            params.without_field(), basis
+        ).entries
+        block = added[np.ix_(idx, idx)]
+        diagonal = np.diag(block)
+        if diagonal.min() < -1e-12 or np.abs(block - np.diag(diagonal)).max() > 1e-12:
+            raise VerificationError(f"field term fails to dominate in sector n={n}, k={k}")
 
 
 @dataclass(frozen=True)
@@ -336,7 +418,8 @@ def droplet_projector(
     A sector whose in-window floor (`window_floors`) lies above the window
     edge by more than SKIP_MARGIN has no eigenvalue in the window: it is
     neither assembled nor solved and gets an empty selection.  Every other
-    sector is solved for its in-window eigenpairs only.
+    sector is solved for its in-window eigenpairs only; one large enough for
+    Lanczos is assembled sparse.
     """
     if not override_window_check and not window.is_valid_for(params):
         raise DomainError(
@@ -352,7 +435,9 @@ def droplet_projector(
             dim = math.comb(lattice.size, n)
             selections[n] = SectorSelection(np.empty(0), np.empty((dim, 0)))
             continue
-        data = eigensolve(assemble_sector(params, enumerate_sector(lattice, n)), window.e_max)
+        basis = enumerate_sector(lattice, n)
+        assemble = assemble_sector_sparse if len(basis) > LANCZOS_MIN_DIM else assemble_sector
+        data = eigensolve(assemble(params, basis), window.e_max)
         selections[n] = SectorSelection(data.eigenvalues, data.eigenvectors)
     return DropletProjector(lattice=lattice, window=window, selections=selections, n_max=n_max)
 

@@ -189,6 +189,18 @@ def test_import_leaves_scipy_optimize_unloaded():
     assert out.stdout.strip() == "False"
 
 
+def test_import_leaves_scipy_sparse_linalg_unloaded():
+    # Only sectors large enough for a Lanczos solve need scipy.sparse; loading
+    # it with the package raises the peak memory of every disorder run.
+    probe = "import sys, droplet_lab, droplet_lab.cli; print('scipy.sparse.linalg' in sys.modules)"
+    src = str(Path(cli.__file__).parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert out.stdout.strip() == "False"
+
+
 def test_run_without_verdicts_exits_nonzero_with_note(tmp_path, monkeypatch, capsys):
     # The droplet boundary mode skips the zero-mode check and, with the
     # oracle limit at 0 sites, the oracle comparison too: no verdict is left.

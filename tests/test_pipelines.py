@@ -3,7 +3,14 @@
 import importlib
 import pkgutil
 
+import numpy as np
+import pytest
+
+from droplet_lab import hamiltonian, spectral
+from droplet_lab.configspace import Lattice
 from droplet_lab.disorder import TREND_TOL, DisorderSpec
+from droplet_lab.errors import VerificationError
+from droplet_lab.hamiltonian import ModelParams
 from droplet_lab.pipelines import (
     area_law_pipeline,
     ct_decay_pipeline,
@@ -17,6 +24,7 @@ from droplet_lab.pipelines import (
     sum_constants_pipeline,
     thresholds_pipeline,
 )
+from droplet_lab.spectral import ground_state_check, threshold_check
 
 
 def test_spectrum_pipeline_verdicts():
@@ -169,3 +177,55 @@ def test_evolve_entropy_makes_no_full_solve(monkeypatch):
     result = evolve_entropy_pipeline(0.1, 4)
     assert tally == {"full": 0, "windowed": 10}
     assert result.verdicts["dynamics_stay_below_envelope"]
+
+
+def test_spectrum_pipeline_solves_each_sector_once(monkeypatch):
+    reference = ground_state_check(ModelParams(0.1), Lattice(4))
+    tally = _count_eigensolves(monkeypatch)
+    result = spectrum_pipeline(4, 0.1)
+    assert tally == {"full": 10, "windowed": 0}
+    assert result.verdicts == {"zero_mode_simple": True, "oracle_equivalence": True}
+    assert result.values["second_lowest_eigenvalue"] == reference.second_lowest
+
+
+def _per_draw_threshold_rows(L, delta_inv, ks, field_draws, seed):
+    """The former loop: one `threshold_check` per draw and k."""
+    lattice = Lattice(L)
+    rows = []
+    for draw in range(field_draws + 1):
+        field = None
+        if draw:
+            rng = np.random.default_rng(np.random.SeedSequence((seed, draw)))
+            field = {s: float(rng.random()) for s in lattice.sites}
+        for k in ks:
+            margin = threshold_check(ModelParams(delta_inv, field=field), lattice, k)
+            rows.append(("zero" if draw == 0 else f"draw{draw}", k, margin))
+    return rows
+
+
+def test_thresholds_pipeline_solves_the_field_free_margins_once(monkeypatch):
+    expected = _per_draw_threshold_rows(4, 0.1, (1, 2, 3), 3, 0)
+    tally = _count_eigensolves(monkeypatch)
+    result = thresholds_pipeline(4, 0.1, seed=0)
+    # k = 1, 2, 3 restrict sectors 1..9, 2..8 and 3..7: 21 solves, not 84.
+    assert tally == {"full": 21, "windowed": 0}
+    assert list(result.table.rows) == expected
+    assert result.values["worst_margin"] == min(row[2] for row in expected)
+
+
+def test_field_dominance_check_rejects_a_field_that_hops(monkeypatch):
+    assemble = hamiltonian.assemble_sector
+
+    def skewed(params, basis):
+        matrix = assemble(params, basis)
+        if params.field is None or matrix.dim < 2:
+            return matrix
+        entries = matrix.entries + 1e-3 * (np.eye(matrix.dim, k=1) + np.eye(matrix.dim, k=-1))
+        return hamiltonian.SectorMatrix(basis=basis, entries=entries)
+
+    lattice = Lattice(2)
+    params = ModelParams(0.1, field={s: 0.5 for s in lattice.sites})
+    spectral.field_dominance_check(params, lattice, 1)
+    monkeypatch.setattr(spectral, "assemble_sector", skewed)
+    with pytest.raises(VerificationError):
+        spectral.field_dominance_check(params, lattice, 1)
