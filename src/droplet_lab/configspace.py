@@ -40,17 +40,6 @@ class Lattice:
         return -self.L <= site <= self.L
 
 
-def validate_configuration(lattice: Lattice, occupied) -> Config:
-    """Return the occupied sites as a validated tuple (strictly increasing, in bounds)."""
-    occ = tuple(occupied)
-    for a, b in itertools.pairwise(occ):
-        if b <= a:
-            raise DomainError(f"occupied sites must be strictly increasing, got {occ}")
-    if occ and (occ[0] < -lattice.L or occ[-1] > lattice.L):
-        raise DomainError(f"sites {occ} fall outside [-{lattice.L}, {lattice.L}]")
-    return occ
-
-
 def colex_rank(lattice: Lattice, config: Config) -> int:
     """Position of `config` in the colexicographic order of its sector.
 

@@ -136,6 +136,7 @@ class DosDecayResult:
     decay_rate_stderr: float
     fitted_points: int
     nontrivial_support: bool
+    dropped_probes: tuple[int, ...]
 
 
 def dos_decay_experiment(
@@ -152,8 +153,10 @@ def dos_decay_experiment(
     particle number yields the decay rate with its standard error.  `window`
     is the compact energy set of the averaged claim; it need not satisfy the
     droplet-window constraint, and it should be wide enough that every
-    probe's mean is sampled (probes whose sampled mean is zero are dropped
-    from the fit).
+    probe's mean is sampled.  A probe whose mean lies below the resolution
+    floor 1/(2 samples), half the weight one sample can give, is unresolved
+    by the samples drawn (its mean may be a rounding-level tail); it is left
+    out of the fit and listed in `dropped_probes`.
     """
     if probes is None:
         probes = {n: centered_cluster(lattice, n) for n in range(1, 5)}
@@ -175,14 +178,15 @@ def dos_decay_experiment(
         float(values[n].std(ddof=1) / math.sqrt(spec.samples)) if spec.samples > 1 else None
         for n in ns
     )
-    positive = [(n, m) for n, m in zip(ns, means) if m > 1e-300]
-    if len(positive) < 2:
+    floor = 1.0 / (2 * spec.samples)
+    resolved = [(n, m) for n, m in zip(ns, means) if m >= floor]
+    if len(resolved) < 2:
         raise DomainError(
-            "fewer than two probes have sampled weight inside the window; "
-            "widen the window or add samples"
+            "fewer than two probes have a mean above the resolution floor "
+            "1/(2 samples); widen the window or add samples"
         )
-    xs = np.array([n for n, _ in positive], dtype=float)
-    ys = np.log(np.array([m for _, m in positive]))
+    xs = np.array([n for n, _ in resolved], dtype=float)
+    ys = np.log(np.array([m for _, m in resolved]))
     slope, slope_se = _ols_line(xs, ys)
     return DosDecayResult(
         probe_ns=ns,
@@ -190,8 +194,9 @@ def dos_decay_experiment(
         stderrs=stderrs,
         decay_rate=-slope,
         decay_rate_stderr=slope_se,
-        fitted_points=len(positive),
+        fitted_points=len(resolved),
         nontrivial_support=spec.nontrivial_support,
+        dropped_probes=tuple(n for n, m in zip(ns, means) if m < floor),
     )
 
 

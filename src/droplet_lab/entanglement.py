@@ -389,7 +389,8 @@ def _candidate_spectra(stack: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
     The coefficient rows are unit vectors and the stacked vectors must be
     orthonormal, or `_schmidt_rows` finds spectra that miss 1.
     """
-    return _schmidt_rows(np.tensordot(coeffs, stack, axes=1))
+    total, rows, cols = stack.shape
+    return _schmidt_rows((coeffs @ stack.reshape(total, -1)).reshape(-1, rows, cols))
 
 
 def _renyi_rows(lam: np.ndarray, alpha: float) -> np.ndarray:
@@ -429,9 +430,14 @@ def droplet_sup_entropy(
     Candidates: every selected eigenstate, n_random random unit combinations
     inside each sector's selection, then projected coordinate ascent in the
     full selected eigenbasis from the best candidate, trying four angles per
-    step and keeping the first that improves.  The first maximum wins
-    throughout.  `candidates` counts every entropy evaluated.  The result is
-    a lower bound of the true supremum by construction.
+    step along the directions in a random cyclic order and keeping the first
+    that improves.  The ascent stops early once a full sweep of the
+    directions (one step each) gains nothing: every later step would rebuild
+    candidates already evaluated from the same point, so the result is the
+    one `ascent_steps` steps give, bit for bit, and `ascent_steps` is a cap.
+    The first maximum wins throughout.  `candidates` counts every entropy
+    evaluated.  The result is a lower bound of the true supremum by
+    construction.
     """
     stack, layout = _window_stack(
         projector.lattice,
@@ -462,7 +468,12 @@ def droplet_sup_entropy(
 
     directions = rng.permutation(total)
     angles = np.array([0.3, -0.3, 0.1, -0.1])
+    stalled = 0
     for step in range(ascent_steps):
+        if stalled == total:
+            # Every direction failed from the current best_coeff, so each
+            # further step would repeat a failed step exactly.
+            break
         coeffs = np.outer(np.cos(angles), best_coeff)
         coeffs[:, int(directions[step % total])] += np.sin(angles)
         coeffs /= np.linalg.norm(coeffs, axis=1, keepdims=True)
@@ -471,6 +482,9 @@ def droplet_sup_entropy(
         better = np.flatnonzero(values > best_val)
         if better.size:
             best_val, best_coeff = values[better[0]], coeffs[better[0]]
+            stalled = 0
+        else:
+            stalled += 1
     return SupEstimate(
         value=float(best_val), eigenstate_max=float(eigen_max), candidates=candidates
     )

@@ -257,13 +257,3 @@ def oracle_sector_block(full: np.ndarray, lattice: Lattice, basis: SectorBasis) 
     """Rows/columns of the full oracle reordered to one sector basis."""
     idx = np.array([product_state_index(lattice, x) for x in basis], dtype=int)
     return full[np.ix_(idx, idx)]
-
-
-def magnetization_diagonal(lattice: Lattice) -> np.ndarray:
-    """Diagonal of the total third spin component over the tensor basis."""
-    N = lattice.size
-    diag = np.empty(1 << N)
-    for state in range(1 << N):
-        downs = bin(state).count("1")
-        diag[state] = 0.5 * (N - downs) - 0.5 * downs
-    return diag

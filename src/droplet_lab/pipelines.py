@@ -443,7 +443,11 @@ def disorder_dos_pipeline(
         for n, mean, se in zip(result.probe_ns, result.means, result.stderrs)
     ]
     verdicts: dict[str, bool] = {}
-    notes: list[str] = []
+    notes = [
+        f"probe n={n} left out of the fit: its mean lies below the resolution "
+        f"floor 1/(2 samples) = {1 / (2 * spec.samples):.3g}"
+        for n in result.dropped_probes
+    ]
     values = {
         "decay_rate": result.decay_rate,
         "decay_rate_stderr": result.decay_rate_stderr,

@@ -461,13 +461,6 @@ def local_dos_by_sector(projector: DropletProjector, n: int) -> np.ndarray:
     return np.einsum("ij,ij->i", sel.eigenvectors, sel.eigenvectors)
 
 
-def droplet_eigenstates(projector: DropletProjector):
-    """Yield (n, eigenvalue, amplitude map) for every selected eigenpair."""
-    for n, sel in sorted(projector.selections.items()):
-        for j, lam in enumerate(sel.eigenvalues):
-            yield n, float(lam), AmplitudeMap(projector.lattice, {n: sel.eigenvectors[:, j]})
-
-
 def random_droplet_state(
     projector: DropletProjector, rng: np.random.Generator, sector: int | None = None
 ) -> AmplitudeMap:

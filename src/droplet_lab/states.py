@@ -76,10 +76,6 @@ def from_amplitudes(lattice: Lattice, amplitudes: Mapping[Config, complex]) -> A
     return AmplitudeMap(lattice, parts)
 
 
-def basis_state(lattice: Lattice, x: Config) -> AmplitudeMap:
-    return from_amplitudes(lattice, {tuple(x): 1.0})
-
-
 def uniform_cluster_state(
     lattice: Lattice, n: int, window: tuple[int, int] | None = None
 ) -> AmplitudeMap:

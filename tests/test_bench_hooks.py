@@ -31,7 +31,7 @@ from droplet_lab.configspace import Lattice, enumerate_sector
 from droplet_lab.entanglement import centered_block, matricize
 from droplet_lab.hamiltonian import ModelParams, assemble_sector
 from droplet_lab.spectral import auto_window, eigensolve
-from droplet_lab.states import basis_state
+from droplet_lab.states import from_amplitudes
 from tracer import Tracer, layer_metrics
 
 argv = ["area-law", "--L", "3", "--no-contrast", "--samples", "2", "--seed", "0"]
@@ -55,7 +55,7 @@ matrix = assemble_sector(params, enumerate_sector(lattice, 2))
 report["reads"] = [
     projector.rank, projector.n_max, estimate.value, estimate.candidates,
     eigensolve(matrix).dim, matrix.dim,
-    matricize(basis_state(lattice, (0,)), centered_block(lattice, 3)).matrix.size,
+    matricize(from_amplitudes(lattice, {(0,): 1.0}), centered_block(lattice, 3)).matrix.size,
 ]
 
 tracer = Tracer()

@@ -14,7 +14,6 @@ from droplet_lab.configspace import (
     distance_to_clustered,
     distance_to_edge,
     enumerate_sector,
-    validate_configuration,
 )
 from droplet_lab.errors import DomainError
 
@@ -36,15 +35,6 @@ def test_lattice_requires_three_sites():
     assert Lattice(1).size == 3
     with pytest.raises(DomainError):
         Lattice(0)
-
-
-def test_validate_configuration_rejects_bad_input():
-    lat = Lattice(2)
-    assert validate_configuration(lat, [-1, 0, 2]) == (-1, 0, 2)
-    with pytest.raises(DomainError):
-        validate_configuration(lat, [0, 0])
-    with pytest.raises(DomainError):
-        validate_configuration(lat, [-3])
 
 
 def test_enumerate_sector_small_by_hand():

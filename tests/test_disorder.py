@@ -111,6 +111,24 @@ def test_dos_decay_uniform_disorder_decays():
     assert all(se is not None for se in result.stderrs)
 
 
+# At seed 917017 no sample of 60 gives the n=4 probe in-window weight; at
+# 900000 a single sample does (0.999), so its mean equals its stderr and
+# lies above the resolution floor 1/120.
+@pytest.mark.parametrize("seed,dropped", [(917017, (4,)), (900000, ())])
+def test_dos_decay_fits_only_resolved_probes(seed, dropped):
+    lat = Lattice(4)
+    spec = DisorderSpec.uniform(0.0, 2.0, 60, seed)
+    template = ModelParams(delta_inv=0.1)
+    window = DropletWindow(auto_window(template).e_max + 2.0 * spec.mean)
+    result = dos_decay_experiment(spec, template, lat, window)
+    assert result.dropped_probes == dropped
+    assert result.fitted_points == 4 - len(dropped)
+    floor = 1 / (2 * spec.samples)
+    assert all((m < floor) == (n in dropped) for n, m in zip(result.probe_ns, result.means))
+    if not dropped:
+        assert result.means[-1] == pytest.approx(result.stderrs[-1], rel=1e-3)
+
+
 def test_dos_decay_single_sample_has_no_stderr():
     lat = Lattice(3)
     spec = DisorderSpec.uniform(0.0, 1.0, 1, 2)

@@ -23,11 +23,14 @@ from droplet_lab.errors import DomainError
 from droplet_lab.hamiltonian import ModelParams
 from droplet_lab.spectral import auto_window, droplet_projector
 from droplet_lab.states import (
-    basis_state,
     from_amplitudes,
     random_state_on_configs,
     uniform_cluster_state,
 )
+
+
+def basis_state(lattice, x):
+    return from_amplitudes(lattice, {tuple(x): 1.0})
 
 
 def reduced_density_oracle(psi, part, rows):

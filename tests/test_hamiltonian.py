@@ -12,7 +12,6 @@ from droplet_lab.hamiltonian import (
     cluster_mask,
     diagonal_energy,
     field_diagonal,
-    magnetization_diagonal,
     oracle_sector_block,
     restrict,
 )
@@ -136,6 +135,16 @@ def test_oracle_equivalence_random_params(L, seed):
         basis = enumerate_sector(lat, n)
         block = oracle_sector_block(full, lat, basis)
         assert np.abs(block - assemble_sector(params, basis).entries).max() <= 1e-12
+
+
+def magnetization_diagonal(lattice):
+    """Diagonal of the total third spin component over the tensor basis."""
+    N = lattice.size
+    diag = np.empty(1 << N)
+    for state in range(1 << N):
+        downs = bin(state).count("1")
+        diag[state] = 0.5 * (N - downs) - 0.5 * downs
+    return diag
 
 
 def test_oracle_commutes_with_magnetization():

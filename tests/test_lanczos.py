@@ -95,6 +95,33 @@ def test_lanczos_window_matches_dense_window(L, seed):
     assert solved >= lattice.size - 4
 
 
+@settings(max_examples=25, deadline=None)
+@given(
+    L=st.integers(3, 4),
+    delta_inv=st.floats(0.0, 0.3),
+    values=st.lists(st.floats(0.0, 3.0), min_size=9, max_size=9),
+)
+def test_lanczos_window_matches_dense_eigvalsh(L, delta_inv, values):
+    # No sector at L <= 4 reaches LANCZOS_MIN_DIM, so the window solve is
+    # called directly; every sector it can solve is compared.
+    lattice = Lattice(L)
+    params = ModelParams(delta_inv, field=dict(zip(lattice.sites, values)))
+    lo, hi = -EDGE_TIE_TOL, auto_window(params).e_max + EDGE_TIE_TOL
+    solved = 0
+    for n in range(lattice.size + 1):
+        basis = enumerate_sector(lattice, n)
+        found = _lanczos_window(assemble_sector_sparse(params, basis).entries, lo, hi)
+        if found is None:
+            continue
+        solved += 1
+        w = np.linalg.eigvalsh(assemble_sector(params, basis).entries)
+        w = w[(w >= lo) & (w <= hi)]
+        assert len(found[0]) == len(w), n
+        if len(w):
+            assert np.abs(found[0] - w).max() <= 1e-12, n
+    assert solved >= 1
+
+
 def test_clean_chain_projector_at_L6_matches_dense(monkeypatch):
     lattice, params = _params(6, None)
     window = auto_window(params)

@@ -108,6 +108,17 @@ def test_disorder_dos_pipeline_uniform():
     assert result.verdicts["averaged_dos_decays"]
 
 
+def test_disorder_dos_drops_a_probe_below_the_resolution_floor():
+    # verify-all's draw at seed 917017: no sample of 60 gives the n=4 probe
+    # in-window weight (mean 7e-12), and its log drove the fitted rate to 7.8.
+    result = disorder_dos_pipeline(0.1, 4, DisorderSpec.uniform(0.0, 2.0, 60, 917017))
+    means = dict(zip((row[0] for row in result.table.rows), (row[1] for row in result.table.rows)))
+    assert means[4] < 1e-10
+    assert any("probe n=4 left out of the fit" in note for note in result.notes)
+    assert result.verdicts == {"averaged_dos_decays": True, "decay_rate_significant": True}
+    assert 0.5 < result.values["decay_rate"] < 1.5
+
+
 def test_area_law_pipeline_contrast():
     spec = DisorderSpec.uniform(0.0, 2.0, 8, 0)
     result = area_law_pipeline(

@@ -24,7 +24,6 @@ from droplet_lab.spectral import (
     DropletWindow,
     auto_window,
     droplet_projector,
-    droplet_eigenstates,
     eigensolve,
     evolve,
     fit_exponential_envelope,
@@ -311,13 +310,13 @@ def test_evolve_rejects_unnormalized():
         evolve(spectra, bad, 1.0)
 
 
-def test_droplet_eigenstates_iteration():
+def test_droplet_selections_are_unit_in_window_eigenpairs():
     lat = Lattice(2)
     params = ModelParams(delta_inv=0.1)
     proj = droplet_projector(params, lat, auto_window(params))
-    items = list(droplet_eigenstates(proj))
-    assert len(items) == proj.rank
-    for n, lam, psi in items:
-        assert psi.norm() == pytest.approx(1.0, abs=1e-12)
-        assert 0.0 - 1e-12 <= lam <= proj.window.e_max + 1e-12
-        assert psi.n_max == n or (n == 0 and psi.n_max == 0)
+    assert sum(len(sel.eigenvalues) for sel in proj.selections.values()) == proj.rank
+    for n, sel in proj.selections.items():
+        assert sel.eigenvectors.shape == (len(enumerate_sector(lat, n)), len(sel.eigenvalues))
+        for j, lam in enumerate(sel.eigenvalues):
+            assert np.linalg.norm(sel.eigenvectors[:, j]) == pytest.approx(1.0, abs=1e-12)
+            assert 0.0 - 1e-12 <= lam <= proj.window.e_max + 1e-12

@@ -9,7 +9,6 @@ from droplet_lab.configspace import Lattice
 from droplet_lab.errors import DomainError
 from droplet_lab.states import (
     AmplitudeMap,
-    basis_state,
     from_amplitudes,
     random_state_on_configs,
     uniform_cluster_state,
@@ -29,7 +28,7 @@ def test_from_amplitudes_and_lookup():
 
 def test_basis_state_norm():
     lat = Lattice(2)
-    psi = basis_state(lat, (-1, 1))
+    psi = from_amplitudes(lat, {(-1, 1): 1.0})
     assert psi.norm() == pytest.approx(1.0)
     psi.require_normalized()
 
