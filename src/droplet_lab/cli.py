@@ -97,24 +97,53 @@ def render_csv(table: Table) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _quote(text: str, key: bool = False) -> str:
+    """`text` as a summary line carries it: verbatim, or as a JSON string.
+
+    Verbatim text is one line without surrounding whitespace or a leading
+    double quote, and a key holds no colon; anything else is written as a
+    JSON string, which is ASCII and breaks no line.
+    """
+    verbatim = (
+        text.splitlines() == [text]
+        and text == text.strip()
+        and not text.startswith('"')
+        and not (key and ":" in text)
+    )
+    return text if verbatim else json.dumps(text)
+
+
+def _unquote(text: str) -> str:
+    return json.loads(text) if text.startswith('"') else text
+
+
+def _split_entry(body: str) -> tuple[str, str]:
+    """An indented `key: value` line, split at the colon that ends the key."""
+    if body.startswith('"'):
+        key, end = json.JSONDecoder().raw_decode(body)
+        return key, body[end + 1 :].strip()
+    key, _, rest = body.partition(":")
+    return key, rest.strip()
+
+
 def render_summary(record: ResultRecord) -> str:
     lines = ["droplet-lab result record"]
-    lines.append(f"command: {record.command}")
-    lines.append(f"config-hash: {record.config_hash}")
-    lines.append(f"artifact-version: {record.version}")
-    lines.append(f"timestamp: {record.timestamp}")
+    lines.append(f"command: {_quote(record.command)}")
+    lines.append(f"config-hash: {_quote(record.config_hash)}")
+    lines.append(f"artifact-version: {_quote(record.version)}")
+    lines.append(f"timestamp: {_quote(record.timestamp)}")
     lines.append("config:")
     for key in sorted(record.config):
-        lines.append(f"  {key}: {json.dumps(record.config[key])}")
+        lines.append(f"  {_quote(key, key=True)}: {json.dumps(record.config[key])}")
     lines.append("verdicts:")
     for key in sorted(record.verdicts):
-        lines.append(f"  {key}: {'PASS' if record.verdicts[key] else 'FAIL'}")
+        lines.append(f"  {_quote(key, key=True)}: {'PASS' if record.verdicts[key] else 'FAIL'}")
     lines.append("values:")
     for key in sorted(record.values):
-        lines.append(f"  {key}: {format_number(record.values[key])}")
+        lines.append(f"  {_quote(key, key=True)}: {format_number(record.values[key])}")
     lines.append("notes:")
     for note in record.notes:
-        lines.append(f"  - {note}")
+        lines.append(f"  - {_quote(note)}")
     lines.append(f"table-rows: {record.table_rows}")
     return "\n".join(lines) + "\n"
 
@@ -135,15 +164,14 @@ def parse_summary(text: str) -> ResultRecord:
             if key in ("config", "verdicts", "values", "notes"):
                 section = key
             else:
-                head[key] = rest
+                head[key] = _unquote(rest)
                 section = None
             continue
         body = line[2:]
         if section == "notes":
-            notes.append(body[2:])
+            notes.append(_unquote(body[2:]))
             continue
-        key, _, rest = body.partition(":")
-        rest = rest.strip()
+        key, rest = _split_entry(body)
         if section == "config":
             config[key] = json.loads(rest)
         elif section == "verdicts":
@@ -367,7 +395,9 @@ COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The harness's parser, built once per process: parsing leaves it unchanged."""
     parser = _Parser(prog="droplet-lab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_text, arguments, _) in COMMANDS.items():

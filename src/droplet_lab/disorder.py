@@ -17,7 +17,7 @@ import numpy as np
 from .configspace import Config, Lattice, centered_cluster, enumerate_sector
 from .entanglement import centered_block, droplet_sup_entropy
 from .errors import DomainError
-from .hamiltonian import ModelParams, SectorMatrix, assemble_sector, field_diagonal
+from .hamiltonian import ModelParams, assemble_sector
 from .spectral import DropletWindow, droplet_projector, eigensolve
 
 DISTRIBUTIONS = ("uniform", "bernoulli", "constant")
@@ -162,14 +162,12 @@ def dos_decay_experiment(
         probes = {n: centered_cluster(lattice, n) for n in range(1, 5)}
     if not probes:
         raise DomainError("need at least one probe configuration")
-    base = {n: assemble_sector(template.without_field(), enumerate_sector(lattice, n)) for n in probes}
     values = {n: np.empty(spec.samples) for n in probes}
     for i in range(spec.samples):
-        field = draw_field(spec, i, lattice)
+        params = _field_params(template, lattice, draw_field(spec, i, lattice))
         for n, probe in probes.items():
             basis = enumerate_sector(lattice, n)
-            entries = base[n].entries + np.diag(field_diagonal(basis, field))
-            data = eigensolve(SectorMatrix(basis=basis, entries=entries), window.e_max)
+            data = eigensolve(assemble_sector(params, basis), window.e_max)
             row = data.eigenvectors[basis.index_of(tuple(probe))]
             values[n][i] = float(row @ row)
     ns = tuple(sorted(probes))

@@ -337,6 +337,30 @@ class SupEstimate:
     candidates: int
 
 
+_stack_layout_cache: dict[tuple, tuple[int, int, list[tuple[np.ndarray, np.ndarray]]]] = {}
+
+
+def _stack_layout(lattice: Lattice, row_sites: tuple[int, ...], ns: tuple[int, ...]):
+    """The stack's row and column counts, and each sector's scatter positions in them.
+
+    Only rows and columns that some configuration of the sectors `ns` reaches
+    are kept.  Cached per (L, block sites, sectors).
+    """
+    key = (lattice.L, row_sites, ns)
+    got = _stack_layout_cache.get(key)
+    if got is None:
+        splits = [_split_indices(lattice, row_sites, n) for n in ns]
+        row_ids, row_of = np.unique(np.concatenate([r for r, _ in splits]), return_inverse=True)
+        col_ids, col_of = np.unique(np.concatenate([c for _, c in splits]), return_inverse=True)
+        ends = np.cumsum([len(r) for r, _ in splits])
+        positions = [
+            (row_of[end - len(r) : end], col_of[end - len(r) : end])
+            for (r, _), end in zip(splits, ends)
+        ]
+        got = _stack_layout_cache.setdefault(key, (len(row_ids), len(col_ids), positions))
+    return got
+
+
 def _window_stack(
     lattice: Lattice, part: Bipartition, vectors: dict[int, np.ndarray]
 ) -> tuple[np.ndarray, list[tuple[int, int]]]:
@@ -358,15 +382,10 @@ def _window_stack(
         offset += m
     if not present:
         return np.zeros((0, 1, 1)), layout
-    splits = [_split_indices(lattice, part.sites, n) for n, _, _ in present]
-    row_ids, row_of = np.unique(np.concatenate([r for r, _ in splits]), return_inverse=True)
-    col_ids, col_of = np.unique(np.concatenate([c for _, c in splits]), return_inverse=True)
-    stack = np.zeros((offset, len(row_ids), len(col_ids)))
-    start = 0
-    for (n, lo, hi), (rows, _) in zip(present, splits):
-        end = start + len(rows)
-        stack[lo:hi, row_of[start:end], col_of[start:end]] = vectors[n].T
-        start = end
+    rows, cols, positions = _stack_layout(lattice, part.sites, tuple(n for n, _, _ in present))
+    stack = np.zeros((offset, rows, cols))
+    for (n, lo, hi), (row_of, col_of) in zip(present, positions):
+        stack[lo:hi, row_of, col_of] = vectors[n].T
     return stack, layout
 
 

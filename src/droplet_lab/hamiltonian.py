@@ -4,11 +4,13 @@ The Hamiltonian conserves particle number, so it is assembled sector by
 sector in the hard-core basis: diagonal entries carry half the domain-wall
 count plus the boundary-field and on-site-field energies, off-diagonal
 entries couple configurations related by one hop into an empty neighbor with
-amplitude -delta_inv/2.  The configuration loop `assemble_sector` builds a
-dense matrix; `assemble_sector_sparse` builds the same entries as a sparse
-array with one vectorized pass per bond, for the sectors large enough to be
-solved by Lanczos.  An independent full tensor-product assembly over the
-2^|lattice| spin space serves as the oracle both are tested against.
+amplitude -delta_inv/2.  Both assemblers read a field-free template of the
+sector (walls, end-site occupancy, particle sites and hop positions), built
+once per sector with one vectorized pass per bond: `assemble_sector` scatters
+it into a dense matrix, `assemble_sector_sparse` wraps the same arrays as a
+sparse array for the sectors large enough to be solved by Lanczos.  An
+independent full tensor-product assembly over the 2^|lattice| spin space
+serves as the oracle both are tested against.
 """
 
 from __future__ import annotations
@@ -26,6 +28,10 @@ from .errors import DomainError, ResourceError
 BOUNDARY_MODES = ("standard", "droplet")
 
 _FULL_ORACLE_MAX_SITES = 14
+# Sectors above this dimension are solved by Lanczos (`spectral.eigensolve`)
+# from a sparse assembly, and their templates are rebuilt on every call
+# instead of cached.
+LANCZOS_MIN_DIM = 1000
 
 
 @dataclass(frozen=True)
@@ -95,64 +101,40 @@ class RestrictionMask:
     kept: tuple[int, ...]
 
 
-def diagonal_energy(params: ModelParams, lattice: Lattice, x: Config) -> float:
-    """Diagonal matrix element: walls/2 + beta * boundary occupancy + field."""
-    occupied = set(x)
-    walls = sum(
-        1 for s in range(-lattice.L, lattice.L) if (s in occupied) != (s + 1 in occupied)
-    )
-    boundary = (-lattice.L in occupied) + (lattice.L in occupied)
-    onsite = sum(params.field_value(u) for u in x)
-    return 0.5 * walls + params.beta * boundary + onsite
+@dataclass(frozen=True)
+class _SectorTemplate:
+    """Field-free structure of one sector, per configuration in basis order.
 
-
-def assemble_sector(params: ModelParams, basis: SectorBasis) -> SectorMatrix:
-    lattice = basis.lattice
-    dim = len(basis)
-    entries = np.zeros((dim, dim))
-    hop = -0.5 * params.delta_inv
-    for i, x in enumerate(basis):
-        entries[i, i] = diagonal_energy(params, lattice, x)
-        occupied = set(x)
-        for k, u in enumerate(x):
-            for v in (u - 1, u + 1):
-                if v in lattice and v not in occupied:
-                    y = list(x)
-                    y[k] = v
-                    y.sort()
-                    entries[i, basis.index_of(tuple(y))] = hop
-    return SectorMatrix(basis=basis, entries=entries)
-
-
-def assemble_sector_sparse(params: ModelParams, basis: SectorBasis) -> SectorMatrix:
-    """`assemble_sector`'s entries, bit for bit, as a CSR array.
-
-    Occupations are a (dim, |lattice|) bit mask.  The basis is in colex
-    order, so configuration i has rank sum_k C(i_k, k) = i, where i_k is the
-    site index of the k-th particle and k its cumulative occupation count.
-    A hop across bond (j, j+1) moves particle k between the two sites and
-    changes the rank by C(j+1, k) - C(j, k) (rightward), so each bond is one
-    vectorized pass.  Field energies are summed particle by particle from the
-    left, in `diagonal_energy`'s order, so the diagonal is identical.  Slower
-    than the loop for small sectors; meant for the Lanczos solves.
+    `sites` holds each configuration's site indices (site + L), ascending;
+    `hop_rows`/`hop_cols` are the off-diagonal positions, bond by bond.
     """
-    import scipy.sparse  # imported here: only sectors solved by Lanczos need it
 
+    half_walls: np.ndarray
+    boundary: np.ndarray
+    sites: np.ndarray
+    hop_rows: np.ndarray
+    hop_cols: np.ndarray
+
+
+def _build_template(basis: SectorBasis) -> _SectorTemplate:
+    """One sector's template from its occupation bit mask.
+
+    The basis is in colex order, so configuration i has rank
+    sum_k C(i_k, k) = i, where i_k is the site index of the k-th particle and
+    k its cumulative occupation count.  A hop across bond (j, j+1) moves
+    particle k between the two sites and changes the rank by
+    C(j+1, k) - C(j, k) (rightward), so each bond is one vectorized pass.
+    """
     lattice = basis.lattice
     dim, N, n = len(basis), lattice.size, basis.n
     sites = np.array(basis.configs, dtype=np.int64).reshape(dim, n) + lattice.L
     occ = np.zeros((dim, N), dtype=bool)
     occ[np.arange(dim)[:, None], sites] = True
-    values = np.array([params.field_value(u) for u in lattice.sites])
-    onsite = np.zeros(dim)
-    for k in range(n):
-        onsite = onsite + values[sites[:, k]]
     walls = np.sum(occ[:, :-1] != occ[:, 1:], axis=1)
     boundary = occ[:, 0].astype(int) + occ[:, -1]
-    diagonal = 0.5 * walls + params.beta * boundary + onsite
     binom = np.array([[comb(j, k) for k in range(n + 1)] for j in range(N + 1)], dtype=np.int64)
     count = np.cumsum(occ, axis=1)
-    rows, cols = [np.arange(dim)], [np.arange(dim)]
+    rows, cols = [], []
     for j in range(N - 1):
         right = np.flatnonzero(occ[:, j] & ~occ[:, j + 1])
         left = np.flatnonzero(~occ[:, j] & occ[:, j + 1])
@@ -162,24 +144,63 @@ def assemble_sector_sparse(params: ModelParams, basis: SectorBasis) -> SectorMat
             right + binom[j + 1, k_right] - binom[j, k_right],
             left + binom[j, k_left] - binom[j + 1, k_left],
         ]
-    rows, cols = np.concatenate(rows), np.concatenate(cols)
-    data = np.full(len(rows), -0.5 * params.delta_inv)
-    data[:dim] = diagonal
-    entries = scipy.sparse.csr_array((data, (rows, cols)), shape=(dim, dim))
+    return _SectorTemplate(
+        half_walls=0.5 * walls,
+        boundary=boundary,
+        sites=sites,
+        hop_rows=np.concatenate(rows),
+        hop_cols=np.concatenate(cols),
+    )
+
+
+_template_cache: dict[tuple[int, int], _SectorTemplate] = {}
+
+
+def _sector_template(basis: SectorBasis) -> _SectorTemplate:
+    """The basis's template, cached per (L, n) up to LANCZOS_MIN_DIM and rebuilt above it."""
+    key = (basis.lattice.L, basis.n)
+    template = _template_cache.get(key)
+    if template is None:
+        template = _build_template(basis)
+        if len(basis) <= LANCZOS_MIN_DIM:
+            _template_cache[key] = template
+    return template
+
+
+def _diagonal(params: ModelParams, basis: SectorBasis, template: _SectorTemplate) -> np.ndarray:
+    """walls/2 + beta * boundary occupancy + the on-site field of every particle.
+
+    The field is summed particle by particle from the left, the order of a
+    per-configuration sum, so the entries do not depend on the vectorization.
+    """
+    values = np.array([params.field_value(u) for u in basis.lattice.sites])
+    onsite = np.zeros(len(basis))
+    for k in range(basis.n):
+        onsite += values[template.sites[:, k]]
+    return template.half_walls + params.beta * template.boundary + onsite
+
+
+def assemble_sector(params: ModelParams, basis: SectorBasis) -> SectorMatrix:
+    """The sector's dense matrix: the template's hops and diagonal scattered into zeros."""
+    template = _sector_template(basis)
+    entries = np.zeros((len(basis), len(basis)))
+    entries[template.hop_rows, template.hop_cols] = -0.5 * params.delta_inv
+    np.fill_diagonal(entries, _diagonal(params, basis, template))
     return SectorMatrix(basis=basis, entries=entries)
 
 
-def field_diagonal(basis: SectorBasis, field_by_site: np.ndarray) -> np.ndarray:
-    """Per-configuration field energies for an array indexed by site + L.
+def assemble_sector_sparse(params: ModelParams, basis: SectorBasis) -> SectorMatrix:
+    """`assemble_sector`'s entries, bit for bit, as a CSR array (for the Lanczos solves)."""
+    import scipy.sparse  # imported here: only sectors solved by Lanczos need it
 
-    Lets disorder sweeps reuse a field-free sector matrix: add np.diag of the
-    result instead of reassembling.
-    """
-    L = basis.lattice.L
-    out = np.zeros(len(basis))
-    for i, x in enumerate(basis):
-        out[i] = sum(field_by_site[u + L] for u in x)
-    return out
+    template = _sector_template(basis)
+    dim = len(basis)
+    rows = np.concatenate([np.arange(dim), template.hop_rows])
+    cols = np.concatenate([np.arange(dim), template.hop_cols])
+    data = np.full(len(rows), -0.5 * params.delta_inv)
+    data[:dim] = _diagonal(params, basis, template)
+    entries = scipy.sparse.csr_array((data, (rows, cols)), shape=(dim, dim))
+    return SectorMatrix(basis=basis, entries=entries)
 
 
 def cluster_mask(basis: SectorBasis, k_min: int) -> RestrictionMask:

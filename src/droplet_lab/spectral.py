@@ -14,21 +14,22 @@ falsifiable numbers.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
 
-from .configspace import Config, Lattice, all_cluster_configs, enumerate_sector
+from .configspace import Config, Lattice, enumerate_sector
 from .errors import DomainError, NumericError, ResourceError, VerificationError
 from .hamiltonian import (
+    LANCZOS_MIN_DIM,
     ModelParams,
     SectorMatrix,
     assemble_sector,
     assemble_sector_sparse,
     cluster_mask,
-    diagonal_energy,
     restrict,
 )
 from .states import AmplitudeMap
@@ -40,10 +41,10 @@ EIG_TOL = 1e-10
 # at its own cap and k = 64.
 SECTOR_DIM_CAP = 15_000
 LANCZOS_DIM_CAP = 250_000
-# Windowed solves of larger sectors use implicitly restarted Lanczos
-# (ARPACK through scipy.sparse.linalg.eigsh), starting at LANCZOS_START_K
-# eigenpairs; smaller sectors, and every full solve, stay dense.
-LANCZOS_MIN_DIM = 1000
+# Windowed solves of sectors above LANCZOS_MIN_DIM use implicitly restarted
+# Lanczos (ARPACK through scipy.sparse.linalg.eigsh), starting at
+# LANCZOS_START_K eigenpairs; smaller sectors, and every full solve, stay
+# dense.
 LANCZOS_START_K = 8
 EDGE_TIE_TOL = 1e-12
 # The windowed solve asks LAPACK for a slightly wider interval than the
@@ -391,19 +392,35 @@ def window_floors(params: ModelParams, lattice: Lattice, e_max: float) -> np.nda
     Feshbach map PHP - PHQ (QHQ - E)^-1 QHP, so
     E >= min diag(PHP) - delta_inv^2 / (lambda_Q - e_max).
     Sector 1, where PHP is tridiagonal, and the full sector keep the Weyl
-    floor, as does every sector when e_max >= lambda_Q.
+    floor, as does every sector when e_max >= lambda_Q.  diag(PHP) is read off
+    the single clusters' walls and end sites (`_cluster_template`) and their
+    field, summed site by site from the left as the sector's diagonal is.
     """
     floors = spectral_floors(params, lattice)
     if params.boundary_mode != "standard":
         return floors
-    values = np.sort([params.field_value(s) for s in lattice.sites])
+    site_values = np.array([params.field_value(s) for s in lattice.sites])
+    values = np.sort(site_values)
+    onsite = site_values
     for n in range(2, lattice.size):
+        # Field of the n-site clusters, left to right by start.
+        onsite = onsite[:-1] + site_values[n - 1 :]
         gap = 2.0 * (1.0 - params.delta_inv) + values[:n].sum() - e_max
         if gap <= 0:
             continue
-        lowest = min(diagonal_energy(params, lattice, x) for x in all_cluster_configs(lattice, n))
+        half_walls, boundary = _cluster_template(lattice.size, n)
+        lowest = float((half_walls + params.beta * boundary + onsite).min())
         floors[n] = max(floors[n], lowest - params.delta_inv**2 / gap)
     return floors
+
+
+@functools.cache
+def _cluster_template(size: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Half the domain walls and the occupied end sites of the n-site clusters
+    of a `size`-site lattice, left to right by start (1 < n < size)."""
+    ends = np.zeros(size - n + 1, dtype=int)
+    ends[[0, -1]] = 1
+    return 0.5 * (2 - ends), ends
 
 
 def droplet_projector(

@@ -1,10 +1,15 @@
 """Harness behavior: records, caching, exit codes, determinism."""
 
 import functools
+import json
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from droplet_lab import cli, pipelines
 from droplet_lab.cli import (
@@ -59,6 +64,42 @@ def test_summary_round_trip():
     back = parse_summary(text)
     assert back == record
     assert back.exit_code == 2
+
+
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner) | st.dictionaries(st.text(), inner),
+    max_leaves=10,
+)
+RECORDS = st.builds(
+    ResultRecord,
+    command=st.text(),
+    config_hash=st.text(),
+    version=st.text(),
+    timestamp=st.text(),
+    config=st.dictionaries(st.text(), JSON),
+    verdicts=st.dictionaries(st.text(), st.booleans()),
+    values=st.dictionaries(st.text(), st.floats()),
+    notes=st.lists(st.text()).map(tuple),
+    table_rows=st.integers(),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(record=RECORDS)
+def test_summary_round_trip_generated(record):
+    text = render_summary(record)
+    back = parse_summary(text)
+    # NaN is carried as NaN, but compares unequal to itself: compare the
+    # serializations of config and values, and every other field directly.
+    assert json.dumps(back.config, sort_keys=True) == json.dumps(record.config, sort_keys=True)
+    assert back.values.keys() == record.values.keys()
+    for key, value in record.values.items():
+        assert back.values[key] == value or (math.isnan(value) and math.isnan(back.values[key]))
+    others = ("command", "config_hash", "version", "timestamp", "verdicts", "notes", "table_rows")
+    for name in others:
+        assert getattr(back, name) == getattr(record, name), name
+    assert render_summary(back) == text
 
 
 def test_resolve_cache_dir_precedence(monkeypatch, tmp_path):
@@ -162,6 +203,35 @@ def test_cache_misses_under_another_source_digest(tmp_path, monkeypatch, capsys)
     assert run(args + ["--outdir", str(tmp_path / "c")]) == 0
     assert "cache hit" not in capsys.readouterr().out
     assert len(list((tmp_path / "cache").glob("*.summary.txt"))) == 2
+
+
+def test_one_parser_serves_successive_runs(tmp_path, capsys):
+    # The parser is built once per process.  A usage error and a run with
+    # explicit block sizes must leave the next run's defaults as they were:
+    # its record equals that of the same command in a fresh process.
+    assert cli.build_parser() is cli.build_parser()
+    args = ["area-law", "--L", "3", "--samples", "3", "--no-contrast", "--no-cache"]
+    assert run(["area-law", "--no-such-option"]) == 1
+    assert "error" in capsys.readouterr().err
+    assert run(args + ["--block-sizes", "2", "3", "--outdir", str(tmp_path / "explicit")]) in (0, 2)
+    assert run(args + ["--outdir", str(tmp_path / "reused")]) in (0, 2)
+    subprocess.run(
+        [sys.executable, "-m", "droplet_lab", *args, "--outdir", str(tmp_path / "fresh")],
+        capture_output=True, env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])},
+    )
+
+    def summary(name):
+        (path,) = (tmp_path / name).glob("*.summary.txt")
+        return path.read_text()
+
+    explicit, reused, fresh = (summary(name) for name in ("explicit", "reused", "fresh"))
+    assert parse_summary(explicit).config["block_sizes"] == [2, 3]
+    assert parse_summary(reused).config["block_sizes"] == [2, 3, 4, 5]
+
+    def without_timestamp(text):
+        return [line for line in text.splitlines() if not line.startswith("timestamp:")]
+
+    assert without_timestamp(reused) == without_timestamp(fresh)
 
 
 def test_source_digest_is_lazy_and_stable():

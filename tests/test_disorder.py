@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from loop_oracle import field_diagonal
 
 from droplet_lab.configspace import Lattice, centered_cluster, enumerate_sector
 from droplet_lab.disorder import (
@@ -15,7 +16,7 @@ from droplet_lab.disorder import (
     sample_slope,
 )
 from droplet_lab.errors import DomainError
-from droplet_lab.hamiltonian import ModelParams, assemble_sector, field_diagonal
+from droplet_lab.hamiltonian import ModelParams, assemble_sector
 from droplet_lab.spectral import DropletWindow, auto_window
 
 

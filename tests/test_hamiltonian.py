@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from loop_oracle import diagonal_energy, field_diagonal
 
 from droplet_lab.configspace import Lattice, cluster_decompose, enumerate_sector
 from droplet_lab.errors import DomainError, ResourceError
@@ -10,8 +11,6 @@ from droplet_lab.hamiltonian import (
     assemble_full_oracle,
     assemble_sector,
     cluster_mask,
-    diagonal_energy,
-    field_diagonal,
     oracle_sector_block,
     restrict,
 )

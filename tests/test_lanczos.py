@@ -1,11 +1,10 @@
 """The sparse assembler and the Lanczos window solve against the dense path.
 
-`assemble_sector_sparse` must reproduce the configuration loop of
-`assemble_sector` entry for entry, and both must match the tensor-product
-oracle.  `eigensolve` solves windows of sectors above LANCZOS_MIN_DIM with
-Lanczos; these tests compare that solve with the dense windowed `eigh` it
-replaces, on the field-free chain (whose edge pairs are degenerate to
-rounding) and on seeded fields.
+`assemble_sector_sparse` must reproduce `assemble_sector` entry for entry,
+and both must match the tensor-product oracle.  `eigensolve` solves windows
+of sectors above LANCZOS_MIN_DIM with Lanczos; these tests compare that solve
+with the dense windowed `eigh` it replaces, on the field-free chain (whose
+edge pairs are degenerate to rounding) and on seeded fields.
 """
 
 import numpy as np
