@@ -3,7 +3,6 @@
 from .configspace import (
     Lattice,
     SectorBasis,
-    cluster_decompose,
     config_distance,
     distance_to_clustered,
     distance_to_edge,
@@ -37,7 +36,6 @@ __all__ = [
     "assemble_full_oracle",
     "assemble_sector",
     "auto_window",
-    "cluster_decompose",
     "cluster_mask",
     "config_distance",
     "distance_to_clustered",

@@ -2,16 +2,25 @@
 
 Sites live on the symmetric interval [-L, L]; a configuration is the strictly
 increasing tuple of occupied sites (down spins).  This module enumerates the
-fixed particle-number sectors, decomposes configurations into clusters of
-adjacent particles, and provides the l1 distances (pair, to the clustered set,
-to an interval edge) that every decay estimate in the package is phrased in.
+fixed particle-number sectors and provides the l1 distances (pair, to the
+clustered set, to an interval edge) that every decay estimate in the package
+is phrased in.
+
+It also owns the one combinatorial rank of the package, `occupation_rank`:
+the position of an occupation pattern over an ordered site list in (count,
+colex) order.  Sector ordinals, the hop positions of the sector assemblers
+and the rows and columns of a block split are all read off it, so no layer
+enumerates subsets or keeps a lookup table of configurations.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cache
 from math import comb
+
+import numpy as np
 
 from .errors import DomainError
 
@@ -40,13 +49,54 @@ class Lattice:
         return -self.L <= site <= self.L
 
 
-def colex_rank(lattice: Lattice, config: Config) -> int:
-    """Position of `config` in the colexicographic order of its sector.
+@cache
+def _binomials(k: int) -> np.ndarray:
+    """C(i, j) for 0 <= i, j <= k."""
+    return np.array([[comb(i, j) for j in range(k + 1)] for i in range(k + 1)], dtype=np.int64)
 
-    With 0-based site indices i_1 < ... < i_n the rank is sum_k C(i_k, k),
-    so ranking costs O(n) binomials.
+
+@cache
+def _count_offsets(k: int) -> np.ndarray:
+    """sum_{j<c} C(k, j) for c = 0..k: the number of subsets of k sites with fewer than c."""
+    row = _binomials(k)[k]
+    return np.cumsum(row) - row
+
+
+def occupation_rank(occ: np.ndarray) -> np.ndarray:
+    """Position of each row of a boolean (m, k) occupation mask in (count, colex) order.
+
+    A row whose occupied columns are i_1 < ... < i_c ranks
+    sum_{j<c} C(k, j) + sum_t C(i_t, t): every subset of fewer sites comes
+    first, and among the c-subsets the rank is the plain colex rank.
     """
-    return sum(comb(site + lattice.L, k) for k, site in enumerate(config, start=1))
+    k = occ.shape[1]
+    # Column by column (the transpose is the fast layout): C(i, sites occupied up to i).
+    count = np.cumsum(occ.T, axis=0)
+    terms = _binomials(k).ravel()[(k + 1) * np.arange(k)[:, None] + count]
+    return _count_offsets(k)[np.count_nonzero(occ, axis=1)] + (terms * occ.T).sum(axis=0)
+
+
+def config_ranks(lattice: Lattice, configs) -> tuple[np.ndarray, np.ndarray]:
+    """Particle count and ordinal in its sector's colex order of each configuration.
+
+    Raises DomainError for a configuration that is not a strictly increasing
+    tuple of lattice sites.
+    """
+    configs = [tuple(c) for c in configs]
+    counts = np.array([len(c) for c in configs], dtype=np.int64)
+    owner = np.repeat(np.arange(len(configs)), counts)
+    given = np.array([u for c in configs for u in c], dtype=float)
+    sites = given.astype(np.int64)
+    fault = (sites != given) | (sites < -lattice.L) | (sites > lattice.L)
+    fault[1:] |= (np.diff(sites) <= 0) & (owner[1:] == owner[:-1])
+    if fault.any():
+        raise DomainError(
+            f"{configs[owner[fault][0]]} is not a strictly increasing tuple of sites "
+            f"of [-{lattice.L}, {lattice.L}]"
+        )
+    occ = np.zeros((len(configs), lattice.size), dtype=bool)
+    occ[owner, sites + lattice.L] = True
+    return counts, occupation_rank(occ) - _count_offsets(lattice.size)[counts]
 
 
 class SectorBasis:
@@ -62,13 +112,21 @@ class SectorBasis:
         self.configs: list[Config] = sorted(
             itertools.combinations(lattice.sites, n), key=lambda c: c[::-1]
         )
-        self._index = {c: i for i, c in enumerate(self.configs)}
 
     def index_of(self, config: Config) -> int:
-        try:
-            return self._index[tuple(config)]
-        except KeyError:
-            raise DomainError(f"{tuple(config)} is not in the n={self.n} sector") from None
+        """The configuration's ordinal, its colex rank; DomainError if it is not in the sector."""
+        counts, ranks = config_ranks(self.lattice, [config])
+        if counts[0] != self.n:
+            raise DomainError(f"{tuple(config)} is not in the n={self.n} sector")
+        return int(ranks[0])
+
+    def occupation(self) -> np.ndarray:
+        """Boolean (dim, |lattice|) occupation mask of the configurations, in basis order."""
+        dim = len(self.configs)
+        sites = np.array(self.configs, dtype=np.int64).reshape(dim, self.n) + self.lattice.L
+        occ = np.zeros((dim, self.lattice.size), dtype=bool)
+        occ[np.arange(dim)[:, None], sites] = True
+        return occ
 
     def __len__(self) -> int:
         return len(self.configs)
@@ -90,45 +148,6 @@ def enumerate_sector(lattice: Lattice, n: int) -> SectorBasis:
     if basis is None:
         basis = _basis_cache.setdefault(key, SectorBasis(lattice, n))
     return basis
-
-
-@dataclass(frozen=True)
-class ClusterDecomposition:
-    """Maximal runs of adjacent occupied sites, left to right."""
-
-    clusters: tuple[tuple[int, int], ...]  # (start site, length)
-    touches_left: bool
-    touches_right: bool
-
-    @property
-    def k(self) -> int:
-        return len(self.clusters)
-
-    @property
-    def is_clustered(self) -> bool:
-        # Vacuum (k=0) and single clusters count as clustered.
-        return self.k <= 1
-
-
-def cluster_decompose(lattice: Lattice, x: Config) -> ClusterDecomposition:
-    clusters = []
-    start = None
-    prev = None
-    for site in x:
-        if start is None:
-            start = prev = site
-        elif site == prev + 1:
-            prev = site
-        else:
-            clusters.append((start, prev - start + 1))
-            start = prev = site
-    if start is not None:
-        clusters.append((start, prev - start + 1))
-    return ClusterDecomposition(
-        clusters=tuple(clusters),
-        touches_left=bool(x) and x[0] == -lattice.L,
-        touches_right=bool(x) and x[-1] == lattice.L,
-    )
 
 
 def config_distance(x: Config, y: Config) -> int:

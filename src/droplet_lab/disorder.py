@@ -162,13 +162,13 @@ def dos_decay_experiment(
         probes = {n: centered_cluster(lattice, n) for n in range(1, 5)}
     if not probes:
         raise DomainError("need at least one probe configuration")
+    ordinals = {n: enumerate_sector(lattice, n).index_of(tuple(x)) for n, x in probes.items()}
     values = {n: np.empty(spec.samples) for n in probes}
     for i in range(spec.samples):
         params = _field_params(template, lattice, draw_field(spec, i, lattice))
-        for n, probe in probes.items():
-            basis = enumerate_sector(lattice, n)
-            data = eigensolve(assemble_sector(params, basis), window.e_max)
-            row = data.eigenvectors[basis.index_of(tuple(probe))]
+        for n, ordinal in ordinals.items():
+            data = eigensolve(assemble_sector(params, enumerate_sector(lattice, n)), window.e_max)
+            row = data.eigenvectors[ordinal]
             values[n][i] = float(row @ row)
     ns = tuple(sorted(probes))
     means = tuple(float(values[n].mean()) for n in ns)

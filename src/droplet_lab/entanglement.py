@@ -4,21 +4,23 @@ A pure state is matricized: rows are the particle configurations on the
 inside sites, columns those on the outside, and the squared singular values
 are the reduced-state spectrum.  This is better conditioned than assembling
 the reduced density matrix (the entrywise construction survives only as a
-test oracle).  The module also houses the Hartley bound checks for
-cluster-supported states, an estimated supremum of the entropy over a chosen
-droplet family, and the entropy-versus-block-size scan with its concave-log
-fit.  The estimator and the scan stack the matricized window vectors once
-per block and evaluate their candidates in batches.
+test oracle).  Both sides of a configuration are placed by their
+`configspace.occupation_rank`, read straight off the occupation mask, so no
+subset of either side is ever enumerated.  The module also houses the
+Hartley bound checks for cluster-supported states, an estimated supremum of
+the entropy over a chosen droplet family, and the entropy-versus-block-size
+scan with its concave-log fit.  The estimator and the scan stack the
+matricized window vectors once per block and evaluate their candidates in
+batches.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .configspace import Config, Lattice, enumerate_sector
+from .configspace import Lattice, enumerate_sector, occupation_rank
 from .errors import DomainError, NumericError, VerificationError
 from .spectral import DropletProjector, DropletWindow, droplet_projector
 from .hamiltonian import ModelParams, cluster_mask
@@ -76,56 +78,39 @@ class Matricization:
     """State amplitudes arranged as an inside-by-outside matrix."""
 
     matrix: np.ndarray
-    row_configs: tuple[Config, ...]
-
-
-def _subset_index(sites: tuple[int, ...]) -> tuple[list[Config], dict[Config, int]]:
-    """All subsets of `sites` ordered by (count, colex); with their positions."""
-    subsets: list[Config] = []
-    for count in range(len(sites) + 1):
-        subsets.extend(sorted(itertools.combinations(sites, count), key=lambda c: c[::-1]))
-    return subsets, {c: i for i, c in enumerate(subsets)}
 
 
 _split_cache: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
-_subset_cache: dict[tuple, tuple[list[Config], dict[Config, int]]] = {}
-
-
-def _subsets(sites: tuple[int, ...]):
-    got = _subset_cache.get(sites)
-    if got is None:
-        got = _subset_cache.setdefault(sites, _subset_index(sites))
-    return got
 
 
 def _split_indices(lattice: Lattice, row_sites: tuple[int, ...], n: int):
-    """Row/column scatter positions of every n-particle configuration."""
+    """Row/column scatter positions of every n-particle configuration.
+
+    The row is the `occupation_rank` of the configuration's part on the
+    ascending `row_sites`, the column that of its part on the other sites:
+    positions among all subsets of either side, by (count, colex).
+    """
     key = (lattice.L, row_sites, n)
     got = _split_cache.get(key)
     if got is None:
-        inside = set(row_sites)
-        col_sites = tuple(s for s in lattice.sites if s not in inside)
-        _, row_pos = _subsets(row_sites)
-        _, col_pos = _subsets(col_sites)
-        basis = enumerate_sector(lattice, n)
-        rows = np.empty(len(basis), dtype=int)
-        cols = np.empty(len(basis), dtype=int)
-        for i, x in enumerate(basis):
-            rows[i] = row_pos[tuple(u for u in x if u in inside)]
-            cols[i] = col_pos[tuple(u for u in x if u not in inside)]
-        got = _split_cache.setdefault(key, (rows, cols))
+        occ = enumerate_sector(lattice, n).occupation()
+        inside = np.isin(lattice.sites, row_sites)
+        got = _split_cache.setdefault(
+            key, (occupation_rank(occ[:, inside]), occupation_rank(occ[:, ~inside]))
+        )
     return got
 
 
 def matricize_sites(psi: AmplitudeMap, row_sites: tuple[int, ...]) -> Matricization:
-    """Matricize against an arbitrary set of inside sites."""
+    """Matricize against an arbitrary set of inside sites.
+
+    The matrix has a row for every subset of the inside sites and a column
+    for every subset of the outside ones, in `_split_indices`' order.
+    """
     lattice = psi.lattice
     row_sites = tuple(sorted(row_sites))
-    inside = set(row_sites)
-    col_sites = tuple(s for s in lattice.sites if s not in inside)
-    row_configs, _ = _subsets(row_sites)
     dtype = complex if any(np.iscomplexobj(v) for v in psi.parts.values()) else float
-    M = np.zeros((len(row_configs), 1 << len(col_sites)), dtype=dtype)
+    M = np.zeros((1 << len(row_sites), 1 << (lattice.size - len(row_sites))), dtype=dtype)
     for n, vec in psi.parts.items():
         rows, cols = _split_indices(lattice, row_sites, n)
         M[rows, cols] = vec
@@ -134,7 +119,7 @@ def matricize_sites(psi: AmplitudeMap, row_sites: tuple[int, ...]) -> Matricizat
         raise NumericError(
             f"matricization changed the norm: {frob!r} vs {psi.norm()!r}"
         )
-    return Matricization(matrix=M, row_configs=tuple(row_configs))
+    return Matricization(matrix=M)
 
 
 def matricize(psi: AmplitudeMap, part: Bipartition) -> Matricization:
@@ -207,18 +192,11 @@ def min_side_entropy(psi: AmplitudeMap, part: Bipartition, alpha: float) -> Entr
     return report
 
 
-_multi_cluster_cache: dict[tuple[int, int], np.ndarray] = {}
-
-
 def _multi_cluster(basis) -> np.ndarray:
     """Mask of the sector's configurations with two or more clusters."""
-    key = (basis.lattice.L, basis.n)
-    got = _multi_cluster_cache.get(key)
-    if got is None:
-        mask = np.zeros(len(basis), dtype=bool)
-        mask[list(cluster_mask(basis, 2).kept)] = True
-        got = _multi_cluster_cache.setdefault(key, mask)
-    return got
+    mask = np.zeros(len(basis), dtype=bool)
+    mask[list(cluster_mask(basis, 2).kept)] = True
+    return mask
 
 
 @dataclass(frozen=True)

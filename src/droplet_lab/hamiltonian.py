@@ -17,12 +17,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import reduce
-from math import comb
 from typing import Mapping
 
 import numpy as np
 
-from .configspace import Config, Lattice, SectorBasis, cluster_decompose
+from .configspace import Config, Lattice, SectorBasis, occupation_rank
 from .errors import DomainError, ResourceError
 
 BOUNDARY_MODES = ("standard", "droplet")
@@ -105,11 +104,13 @@ class RestrictionMask:
 class _SectorTemplate:
     """Field-free structure of one sector, per configuration in basis order.
 
-    `sites` holds each configuration's site indices (site + L), ascending;
-    `hop_rows`/`hop_cols` are the off-diagonal positions, bond by bond.
+    `walls` counts the domain walls inside the chain and `boundary` the
+    occupied end sites; `sites` holds each configuration's site indices
+    (site + L), ascending; `hop_rows`/`hop_cols` are the off-diagonal
+    positions, bond by bond.
     """
 
-    half_walls: np.ndarray
+    walls: np.ndarray
     boundary: np.ndarray
     sites: np.ndarray
     hop_rows: np.ndarray
@@ -117,37 +118,27 @@ class _SectorTemplate:
 
 
 def _build_template(basis: SectorBasis) -> _SectorTemplate:
-    """One sector's template from its occupation bit mask.
+    """One sector's template from its occupation mask, one vectorized pass per bond.
 
-    The basis is in colex order, so configuration i has rank
-    sum_k C(i_k, k) = i, where i_k is the site index of the k-th particle and
-    k its cumulative occupation count.  A hop across bond (j, j+1) moves
-    particle k between the two sites and changes the rank by
-    C(j+1, k) - C(j, k) (rightward), so each bond is one vectorized pass.
+    The basis is in colex order, so a configuration's ordinal differs from
+    its `occupation_rank` by the same offset throughout the sector; a hop
+    lands at its row plus the rank of the hopped configuration minus the rank
+    of the original.
     """
-    lattice = basis.lattice
-    dim, N, n = len(basis), lattice.size, basis.n
-    sites = np.array(basis.configs, dtype=np.int64).reshape(dim, n) + lattice.L
-    occ = np.zeros((dim, N), dtype=bool)
-    occ[np.arange(dim)[:, None], sites] = True
-    walls = np.sum(occ[:, :-1] != occ[:, 1:], axis=1)
-    boundary = occ[:, 0].astype(int) + occ[:, -1]
-    binom = np.array([[comb(j, k) for k in range(n + 1)] for j in range(N + 1)], dtype=np.int64)
-    count = np.cumsum(occ, axis=1)
+    occ = basis.occupation()
+    rank = occupation_rank(occ)
     rows, cols = [], []
-    for j in range(N - 1):
-        right = np.flatnonzero(occ[:, j] & ~occ[:, j + 1])
-        left = np.flatnonzero(~occ[:, j] & occ[:, j + 1])
-        k_right, k_left = count[right, j], count[left, j + 1]
-        rows += [right, left]
-        cols += [
-            right + binom[j + 1, k_right] - binom[j, k_right],
-            left + binom[j, k_left] - binom[j + 1, k_left],
-        ]
+    for j in range(basis.lattice.size - 1):
+        for src, dst in ((j, j + 1), (j + 1, j)):
+            movers = np.flatnonzero(occ[:, src] & ~occ[:, dst])
+            hopped = occ[movers]
+            hopped[:, src], hopped[:, dst] = False, True
+            rows.append(movers)
+            cols.append(movers + occupation_rank(hopped) - rank[movers])
     return _SectorTemplate(
-        half_walls=0.5 * walls,
-        boundary=boundary,
-        sites=sites,
+        walls=np.sum(occ[:, :-1] != occ[:, 1:], axis=1),
+        boundary=occ[:, 0].astype(int) + occ[:, -1],
+        sites=np.nonzero(occ)[1].reshape(len(basis), basis.n),
         hop_rows=np.concatenate(rows),
         hop_cols=np.concatenate(cols),
     )
@@ -177,7 +168,7 @@ def _diagonal(params: ModelParams, basis: SectorBasis, template: _SectorTemplate
     onsite = np.zeros(len(basis))
     for k in range(basis.n):
         onsite += values[template.sites[:, k]]
-    return template.half_walls + params.beta * template.boundary + onsite
+    return 0.5 * template.walls + params.beta * template.boundary + onsite
 
 
 def assemble_sector(params: ModelParams, basis: SectorBasis) -> SectorMatrix:
@@ -204,14 +195,13 @@ def assemble_sector_sparse(params: ModelParams, basis: SectorBasis) -> SectorMat
 
 
 def cluster_mask(basis: SectorBasis, k_min: int) -> RestrictionMask:
-    """Ordinals of the configurations with at least k_min clusters."""
+    """Ordinals of the configurations with at least k_min clusters, read off the sector template."""
     if k_min < 1:
         raise DomainError(f"k_min must be >= 1, got {k_min}")
-    lattice = basis.lattice
-    kept = tuple(
-        i for i, x in enumerate(basis) if cluster_decompose(lattice, x).k >= k_min
-    )
-    return RestrictionMask(kept=kept)
+    template = _sector_template(basis)
+    # Every cluster has two walls, but an occupied end site stands in for one.
+    clusters = (template.walls + template.boundary) // 2
+    return RestrictionMask(kept=tuple(np.flatnonzero(clusters >= k_min).tolist()))
 
 
 def restrict(matrix: SectorMatrix, mask: RestrictionMask) -> SectorMatrix:

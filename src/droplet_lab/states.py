@@ -6,7 +6,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .configspace import Config, Lattice, all_cluster_configs, enumerate_sector
+from .configspace import Config, Lattice, all_cluster_configs, config_ranks, enumerate_sector
 from .errors import DomainError
 
 NORM_TOL = 1e-8
@@ -61,17 +61,20 @@ class AmplitudeMap:
 
 
 def from_amplitudes(lattice: Lattice, amplitudes: Mapping[Config, complex]) -> AmplitudeMap:
-    """Build a vector from a sparse configuration -> amplitude mapping."""
-    by_sector: dict[int, dict[Config, complex]] = {}
+    """Build a vector from a sparse configuration -> amplitude mapping.
+
+    All configurations are ranked in one call; DomainError names the first
+    that is not a strictly increasing tuple of lattice sites.
+    """
     dtype = complex if any(np.iscomplexobj(a) or isinstance(a, complex) for a in amplitudes.values()) else float
-    for config, amp in amplitudes.items():
-        by_sector.setdefault(len(config), {})[tuple(config)] = amp
+    counts, ranks = config_ranks(lattice, amplitudes)
+    values = np.array(list(amplitudes.values()), dtype=dtype)
     parts = {}
-    for n, entries in by_sector.items():
-        basis = enumerate_sector(lattice, n)
-        vec = np.zeros(len(basis), dtype=dtype)
-        for config, amp in entries.items():
-            vec[basis.index_of(config)] = amp
+    # Sectors in order of first appearance: `norm` sums them in this order.
+    for n in dict.fromkeys(counts.tolist()):
+        in_sector = counts == n
+        vec = np.zeros(len(enumerate_sector(lattice, n)), dtype=dtype)
+        vec[ranks[in_sector]] = values[in_sector]
         parts[n] = vec
     return AmplitudeMap(lattice, parts)
 

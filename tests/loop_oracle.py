@@ -1,18 +1,61 @@
 """Configuration-loop reference versions of vectorized package code.
 
-The package assembles sectors from a cached field-free template, reads the
-window floors' single-cluster diagonals off a small template and caches the
-layout of its window stacks.  The functions here compute the same things one
-configuration at a time, as the package once did, and serve as the oracle the
-fast paths must reproduce byte for byte.
+The package assembles sectors from a cached field-free template, counts
+clusters and reads the window floors' single-cluster diagonals off such
+templates, places block splits by the combinatorial rank of each side and
+caches the layout of its window stacks.  The functions here compute the same things one configuration
+at a time, with explicit subset lists and dictionaries, as the package once
+did, and serve as the oracle the fast paths must reproduce byte for byte.
 """
+
+import itertools
+from dataclasses import dataclass
 
 import numpy as np
 
 from droplet_lab.configspace import Config, Lattice, SectorBasis, all_cluster_configs
-from droplet_lab.entanglement import _split_indices
 from droplet_lab.hamiltonian import ModelParams, SectorMatrix
 from droplet_lab.spectral import spectral_floors
+
+
+@dataclass(frozen=True)
+class ClusterDecomposition:
+    """Maximal runs of adjacent occupied sites, left to right."""
+
+    clusters: tuple[tuple[int, int], ...]  # (start site, length)
+    touches_left: bool
+    touches_right: bool
+
+    @property
+    def k(self) -> int:
+        return len(self.clusters)
+
+    @property
+    def is_clustered(self) -> bool:
+        # Vacuum (k=0) and single clusters count as clustered.
+        return self.k <= 1
+
+
+def cluster_decompose(lattice: Lattice, x: Config) -> ClusterDecomposition:
+    """`hamiltonian.cluster_mask`'s cluster count, one configuration at a time."""
+    clusters = []
+    start = None
+    prev = None
+    for site in x:
+        if start is None:
+            start = prev = site
+        elif site == prev + 1:
+            prev = site
+        else:
+            clusters.append((start, prev - start + 1))
+            start = prev = site
+    if start is not None:
+        clusters.append((start, prev - start + 1))
+    return ClusterDecomposition(
+        clusters=tuple(clusters),
+        touches_left=bool(x) and x[0] == -lattice.L,
+        touches_right=bool(x) and x[-1] == lattice.L,
+    )
 
 
 def diagonal_energy(params: ModelParams, lattice: Lattice, x: Config) -> float:
@@ -32,6 +75,7 @@ def assemble_sector_loop(params: ModelParams, basis: SectorBasis) -> SectorMatri
     dim = len(basis)
     entries = np.zeros((dim, dim))
     hop = -0.5 * params.delta_inv
+    index = {x: i for i, x in enumerate(basis)}
     for i, x in enumerate(basis):
         entries[i, i] = diagonal_energy(params, lattice, x)
         occupied = set(x)
@@ -41,7 +85,7 @@ def assemble_sector_loop(params: ModelParams, basis: SectorBasis) -> SectorMatri
                     y = list(x)
                     y[k] = v
                     y.sort()
-                    entries[i, basis.index_of(tuple(y))] = hop
+                    entries[i, index[tuple(y)]] = hop
     return SectorMatrix(basis=basis, entries=entries)
 
 
@@ -69,8 +113,31 @@ def window_floors_loop(params: ModelParams, lattice: Lattice, e_max: float) -> n
     return floors
 
 
+def subset_index(sites: tuple[int, ...]) -> tuple[list[Config], dict[Config, int]]:
+    """All subsets of the ascending `sites` ordered by (count, colex); with their positions."""
+    subsets: list[Config] = []
+    for count in range(len(sites) + 1):
+        subsets.extend(sorted(itertools.combinations(sites, count), key=lambda c: c[::-1]))
+    return subsets, {c: i for i, c in enumerate(subsets)}
+
+
+def split_indices_loop(lattice: Lattice, row_sites: tuple[int, ...], n: int):
+    """`entanglement._split_indices` by looking up each side of each configuration."""
+    inside = set(row_sites)
+    col_sites = tuple(s for s in lattice.sites if s not in inside)
+    _, row_pos = subset_index(row_sites)
+    _, col_pos = subset_index(col_sites)
+    basis = SectorBasis(lattice, n)
+    rows = np.empty(len(basis), dtype=int)
+    cols = np.empty(len(basis), dtype=int)
+    for i, x in enumerate(basis):
+        rows[i] = row_pos[tuple(u for u in x if u in inside)]
+        cols[i] = col_pos[tuple(u for u in x if u not in inside)]
+    return rows, cols
+
+
 def window_stack_uncached(lattice: Lattice, part, vectors: dict[int, np.ndarray]):
-    """`entanglement._window_stack` with its row/column layout rebuilt on every call."""
+    """`entanglement._window_stack` with its layout rebuilt from `split_indices_loop` on every call."""
     layout = []
     present = []
     offset = 0
@@ -82,7 +149,7 @@ def window_stack_uncached(lattice: Lattice, part, vectors: dict[int, np.ndarray]
         offset += m
     if not present:
         return np.zeros((0, 1, 1)), layout
-    splits = [_split_indices(lattice, part.sites, n) for n, _, _ in present]
+    splits = [split_indices_loop(lattice, part.sites, n) for n, _, _ in present]
     row_ids, row_of = np.unique(np.concatenate([r for r, _ in splits]), return_inverse=True)
     col_ids, col_of = np.unique(np.concatenate([c for _, c in splits]), return_inverse=True)
     stack = np.zeros((offset, len(row_ids), len(col_ids)))

@@ -3,17 +3,18 @@
 import itertools
 from math import comb
 
+import numpy as np
 import pytest
+from loop_oracle import cluster_decompose
 
 from droplet_lab.configspace import (
     Lattice,
     centered_cluster,
-    cluster_decompose,
-    colex_rank,
     config_distance,
     distance_to_clustered,
     distance_to_edge,
     enumerate_sector,
+    occupation_rank,
 )
 from droplet_lab.errors import DomainError
 
@@ -66,7 +67,30 @@ def test_enumeration_counts_and_index_inverse(L):
         assert len(basis) == comb(lat.size, n)
         for i, x in enumerate(basis):
             assert basis.index_of(x) == i
-            assert colex_rank(lat, x) == i
+
+
+@pytest.mark.parametrize("L", [1, 2, 3])
+@pytest.mark.parametrize("bad", ["unsorted", "repeated", "off-lattice", "wrong-length"])
+def test_index_of_rejects_what_is_not_in_the_sector(L, bad):
+    config, n = {
+        "unsorted": ((1, 0), 2),
+        "repeated": ((0, 0), 2),
+        "off-lattice": ((L + 1,), 1),
+        "wrong-length": ((0, 1), 1),
+    }[bad]
+    with pytest.raises(DomainError):
+        enumerate_sector(Lattice(L), n).index_of(config)
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 5, 8])
+def test_occupation_rank_orders_subsets_by_count_then_colex(k):
+    subsets = []
+    for count in range(k + 1):
+        subsets.extend(sorted(itertools.combinations(range(k), count), key=lambda c: c[::-1]))
+    occ = np.zeros((len(subsets), k), dtype=bool)
+    for i, c in enumerate(subsets):
+        occ[i, list(c)] = True
+    assert occupation_rank(occ).tolist() == list(range(len(subsets)))
 
 
 def test_cluster_decompose_examples():

@@ -4,8 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from loop_oracle import cluster_decompose
 
-from droplet_lab.configspace import Lattice, cluster_decompose, enumerate_sector
+from droplet_lab.configspace import Lattice, enumerate_sector
 from droplet_lab.droplet_variant import droplet_spectrum_report, gap_limit_check
 from droplet_lab.errors import DomainError
 from droplet_lab.hamiltonian import ModelParams, assemble_sector

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from loop_oracle import subset_index
 
 from droplet_lab.configspace import Lattice
 from droplet_lab.entanglement import (
@@ -101,7 +102,8 @@ def test_partial_trace_oracle_matches_matricization(L, seed):
     psi = random_state_on_configs(lat, configs, rng, complex_amplitudes=True)
     part = Bipartition(lat, -L, 0)
     m = matricize(psi, part)
-    rho = reduced_density_oracle(psi, part, m.row_configs)
+    rows, _ = subset_index(part.sites)
+    rho = reduced_density_oracle(psi, part, rows)
     direct = m.matrix.conj() @ m.matrix.T
     assert np.abs(rho - direct).max() <= 1e-12
     eig = np.sort(np.linalg.eigvalsh(rho))[::-1]

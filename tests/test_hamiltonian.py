@@ -2,9 +2,9 @@
 
 import numpy as np
 import pytest
-from loop_oracle import diagonal_energy, field_diagonal
+from loop_oracle import cluster_decompose, diagonal_energy, field_diagonal
 
-from droplet_lab.configspace import Lattice, cluster_decompose, enumerate_sector
+from droplet_lab.configspace import Lattice, enumerate_sector
 from droplet_lab.errors import DomainError, ResourceError
 from droplet_lab.hamiltonian import (
     ModelParams,
@@ -178,6 +178,17 @@ def test_cluster_mask_examples():
     basis = enumerate_sector(lat, 2)
     for i in mask.kept:
         assert cluster_decompose(lat, basis[i]).k >= 2
+
+
+@pytest.mark.parametrize("L", [1, 2, 3, 4])
+def test_cluster_mask_matches_cluster_decompose(L):
+    lat = Lattice(L)
+    for n in range(lat.size + 1):
+        basis = enumerate_sector(lat, n)
+        counts = [cluster_decompose(lat, x).k for x in basis]
+        for k_min in range(1, max(counts) + 2):
+            expected = tuple(i for i, k in enumerate(counts) if k >= k_min)
+            assert cluster_mask(basis, k_min).kept == expected
 
 
 def test_restrict():

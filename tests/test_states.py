@@ -26,6 +26,14 @@ def test_from_amplitudes_and_lookup():
     assert psi.n_max == 2
 
 
+@pytest.mark.parametrize("bad", [(1, 0), (0, 0), (3,), (-2, -1, 0, 1, 2, 3)])
+def test_from_amplitudes_rejects_configurations_off_the_sector_bases(bad):
+    # Unsorted, repeated, off-lattice and longer than the lattice: each must
+    # raise, never land on a plausible ordinal of some sector.
+    with pytest.raises(DomainError):
+        from_amplitudes(Lattice(2), {(0,): 0.6, bad: 0.8})
+
+
 def test_basis_state_norm():
     lat = Lattice(2)
     psi = from_amplitudes(lat, {(-1, 1): 1.0})
