@@ -8,9 +8,10 @@ is phrased in.
 
 It also owns the one combinatorial rank of the package, `occupation_rank`:
 the position of an occupation pattern over an ordered site list in (count,
-colex) order.  Sector ordinals, the hop positions of the sector assemblers
-and the rows and columns of a block split are all read off it, so no layer
-enumerates subsets or keeps a lookup table of configurations.
+colex) order.  Sector ordinals and the rows and columns of a block split
+are read off it, and the sector assemblers move a hop by the one binomial
+term of its table that the hop changes, so no layer enumerates subsets or
+keeps a lookup table of configurations.
 """
 
 from __future__ import annotations

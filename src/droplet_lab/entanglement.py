@@ -9,14 +9,19 @@ test oracle).  Both sides of a configuration are placed by their
 subset of either side is ever enumerated.  The module also houses the
 Hartley bound checks for cluster-supported states, an estimated supremum of
 the entropy over a chosen droplet family, and the entropy-versus-block-size
-scan with its concave-log fit.  The estimator and the scan stack the
-matricized window vectors once per block and evaluate their candidates in
-batches.
+scan with its concave-log fit.  The estimator and the scan evaluate their
+candidates in batches.  A candidate inside one particle-number sector n is
+block diagonal over the count a of particles inside the block (rows with a
+inside, columns with n - a outside), so its spectrum is the union of the
+blocks' spectra and only the blocks are decomposed (`_sector_spectra`).
+The estimator's ascent mixes sectors, so it decomposes the matricized window
+vectors stacked once per block (`_window_stack`, `_candidate_spectra`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
 
 import numpy as np
 
@@ -367,17 +372,87 @@ def _window_stack(
     return stack, layout
 
 
+def _require_unit_spectra(lam: np.ndarray) -> np.ndarray:
+    """`lam`, once every row is found to sum to 1 within FROBENIUS_TOL."""
+    drift = float(np.abs(lam.sum(axis=1) - 1.0).max(initial=0.0))
+    if drift > FROBENIUS_TOL:
+        raise NumericError(f"Schmidt spectra of unit vectors miss 1 by {drift:.3e}")
+    return lam
+
+
 def _schmidt_rows(matrices: np.ndarray) -> np.ndarray:
     """Descending Schmidt spectra of a stack of matricized unit vectors, one row each.
 
     Every spectrum must sum to 1 within FROBENIUS_TOL.
     """
     sv = np.linalg.svd(matrices, compute_uv=False)
-    lam = sv * sv
-    drift = float(np.abs(lam.sum(axis=1) - 1.0).max(initial=0.0))
-    if drift > FROBENIUS_TOL:
-        raise NumericError(f"Schmidt spectra of unit vectors miss 1 by {drift:.3e}")
-    return lam
+    return _require_unit_spectra(sv * sv)
+
+
+_charge_cache: dict[tuple, tuple[np.ndarray, list[tuple[int, int, int, int]]]] = {}
+
+
+def _charge_blocks(lattice: Lattice, row_sites: tuple[int, ...], n: int):
+    """Sector n's configurations in charge-block order, and the blocks' extents.
+
+    A configuration with a particles on `row_sites` lies in block a: its
+    row is one of the C(|B|, a) a-subsets of the block, its column one of
+    the C(|Bc|, n - a) subsets of the complement, and every such pair is one
+    configuration.  `_split_indices` ranks rows and columns by (count,
+    colex), so sorting the configurations by (row, column) lays the blocks
+    out one after another in ascending a, each full and row-major.  Returns
+    that order and (start, stop, rows, cols) per block.  Cached per (L,
+    block sites, n).
+    """
+    key = (lattice.L, row_sites, n)
+    got = _charge_cache.get(key)
+    if got is None:
+        rows, cols = _split_indices(lattice, row_sites, n)
+        inside, outside = len(row_sites), lattice.size - len(row_sites)
+        blocks = []
+        start = 0
+        for a in range(max(0, n - outside), min(n, inside) + 1):
+            shape = (comb(inside, a), comb(outside, n - a))
+            blocks.append((start, start + shape[0] * shape[1], *shape))
+            start = blocks[-1][1]
+        order = np.argsort((rows << outside) | cols)
+        got = _charge_cache.setdefault(key, (order, blocks))
+    return got
+
+
+def _sector_spectra(
+    lattice: Lattice,
+    row_sites: tuple[int, ...],
+    n: int,
+    vectors: np.ndarray,
+    coeffs: np.ndarray,
+) -> np.ndarray:
+    """Descending Schmidt spectra of the sector-n candidates vectors @ coeffs[k], one row each.
+
+    The spectrum of a one-sector state is the union of its charge blocks'
+    spectra (`_charge_blocks`), so only the blocks are decomposed.  A block
+    with one row or one column has one Schmidt value, its squared norm, and
+    needs no SVD; the others go through one batched SVD each.  Spectra keep
+    one entry per block rank, so they are shorter than `_candidate_spectra`'s
+    on the full layout by zeros only.  The coefficient rows are unit vectors
+    and the sector's `vectors` columns must be orthonormal, or the spectra
+    miss 1 (`_require_unit_spectra`).
+    """
+    order, blocks = _charge_blocks(lattice, row_sites, n)
+    amplitudes = coeffs @ vectors[order].T
+    lam = np.empty((len(coeffs), sum(min(rows, cols) for _, _, rows, cols in blocks)))
+    at = 0
+    for start, stop, rows, cols in blocks:
+        block = amplitudes[:, start:stop]
+        if rows == 1 or cols == 1:
+            lam[:, at] = np.einsum("ki,ki->k", block, block)
+            at += 1
+        else:
+            sv = np.linalg.svd(block.reshape(-1, rows, cols), compute_uv=False)
+            lam[:, at : at + sv.shape[1]] = sv * sv
+            at += sv.shape[1]
+    lam.sort(axis=1)
+    return _require_unit_spectra(lam[:, ::-1])
 
 
 def _candidate_spectra(stack: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
@@ -424,9 +499,11 @@ def droplet_sup_entropy(
 ) -> SupEstimate:
     """Estimated supremum of S_alpha over unit vectors in the selected family.
 
-    Candidates: every selected eigenstate, n_random random unit combinations
-    inside each sector's selection, then projected coordinate ascent in the
-    full selected eigenbasis from the best candidate, trying four angles per
+    Candidates: every selected eigenstate and n_random random unit
+    combinations inside each sector's selection, evaluated sector by sector
+    from their charge blocks (`_sector_spectra`), then projected coordinate
+    ascent in the full selected eigenbasis from the best candidate, on the
+    stacked window (`_candidate_spectra`), trying four angles per
     step along the directions in a random cyclic order and keeping the first
     that improves.  The ascent stops early once a full sweep of the
     directions (one step each) gains nothing: every later step would rebuild
@@ -436,11 +513,8 @@ def droplet_sup_entropy(
     evaluated.  The result is a lower bound of the true supremum by
     construction.
     """
-    stack, layout = _window_stack(
-        projector.lattice,
-        part,
-        {n: sel.eigenvectors for n, sel in projector.selections.items()},
-    )
+    vectors = {n: sel.eigenvectors for n, sel in projector.selections.items()}
+    stack, layout = _window_stack(projector.lattice, part, vectors)
     total = len(stack)
     if total == 0:
         return SupEstimate(value=0.0, eigenstate_max=0.0, candidates=0)
@@ -450,11 +524,12 @@ def droplet_sup_entropy(
     eigen_max = 0.0
     candidates = 0
 
-    for lo, hi in layout:
+    for n, (lo, hi) in zip(sorted(vectors), layout):
         if hi == lo:
             continue
         coeffs = _with_random(hi - lo, n_random, rng)
-        values = _renyi_rows(_candidate_spectra(stack[lo:hi], coeffs), alpha)
+        lam = _sector_spectra(projector.lattice, part.sites, n, vectors[n], coeffs)
+        values = _renyi_rows(lam, alpha)
         candidates += len(values)
         eigen_max = max(eigen_max, float(values[: hi - lo].max()))
         k = int(np.argmax(values))
@@ -561,7 +636,8 @@ def entropy_scan(
     """Max entropy over the window's eigenstates and random sector combinations.
 
     Emits one row per (block size, sector, alpha) and a concave-log fit of the
-    per-s envelope, s = min(n, |B|).
+    per-s envelope, s = min(n, |B|).  Every candidate lies in one sector, so
+    its Schmidt spectrum comes from its charge blocks (`_sector_spectra`).
     """
     if projector is None:
         projector = droplet_projector(params, lattice, window)
@@ -577,11 +653,10 @@ def entropy_scan(
             if m == 0:
                 continue
             rng = np.random.default_rng(np.random.SeedSequence((seed, size, n)))
-            stack, _ = _window_stack(lattice, part, {n: sel.eigenvectors})
             coeffs = _with_random(m, n_random, rng)
             # One Schmidt spectrum per candidate serves every alpha, so the
             # per-alpha maxima inherit the exact monotonicity in alpha.
-            lam = _candidate_spectra(stack, coeffs)
+            lam = _sector_spectra(lattice, part.sites, n, sel.eigenvectors, coeffs)
             for alpha in alphas:
                 rows.append(
                     ScanRow(

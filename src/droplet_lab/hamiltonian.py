@@ -21,7 +21,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .configspace import Config, Lattice, SectorBasis, occupation_rank
+from .configspace import Config, Lattice, SectorBasis, _binomials
 from .errors import DomainError, ResourceError
 
 BOUNDARY_MODES = ("standard", "droplet")
@@ -120,21 +120,21 @@ class _SectorTemplate:
 def _build_template(basis: SectorBasis) -> _SectorTemplate:
     """One sector's template from its occupation mask, one vectorized pass per bond.
 
-    The basis is in colex order, so a configuration's ordinal differs from
-    its `occupation_rank` by the same offset throughout the sector; a hop
-    lands at its row plus the rank of the hopped configuration minus the rank
-    of the original.
+    The basis is in colex order: a configuration's ordinal is the sum of
+    C(i_t, t) over its particles (site index i_t, 1-based position t).  A hop
+    into an empty neighbor passes no other particle, so only the mover's term
+    changes, from C(src, t) to C(dst, t): the hop lands at its row plus
+    C(src, t - 1) to the right, minus C(dst, t - 1) to the left.
     """
     occ = basis.occupation()
-    rank = occupation_rank(occ)
+    position = np.cumsum(occ, axis=1)
+    binomials = _binomials(basis.lattice.size)
     rows, cols = [], []
     for j in range(basis.lattice.size - 1):
-        for src, dst in ((j, j + 1), (j + 1, j)):
+        for src, dst, sign in ((j, j + 1, 1), (j + 1, j, -1)):
             movers = np.flatnonzero(occ[:, src] & ~occ[:, dst])
-            hopped = occ[movers]
-            hopped[:, src], hopped[:, dst] = False, True
             rows.append(movers)
-            cols.append(movers + occupation_rank(hopped) - rank[movers])
+            cols.append(movers + sign * binomials[j, position[movers, src] - 1])
     return _SectorTemplate(
         walls=np.sum(occ[:, :-1] != occ[:, 1:], axis=1),
         boundary=occ[:, 0].astype(int) + occ[:, -1],

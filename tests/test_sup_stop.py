@@ -4,7 +4,10 @@
 steps (one per direction) have gained nothing.  Every later step would
 rebuild the candidates of a step that already failed from the same point, so
 the estimate must equal, bit for bit, what running all `ascent_steps` steps
-gives.  The reference here is a copy of the fixed-step batched estimator.
+gives.  The reference here is a copy of the fixed-step batched estimator:
+its sector phase evaluates the one-sector candidates by their charge blocks
+(`_sector_spectra`), as the estimator does, and its ascent decomposes the
+full stack.
 """
 
 import numpy as np
@@ -15,6 +18,7 @@ from droplet_lab.disorder import DisorderSpec, draw_field
 from droplet_lab.entanglement import (
     _renyi_rows,
     _schmidt_rows,
+    _sector_spectra,
     _window_stack,
     _with_random,
     centered_block,
@@ -28,20 +32,18 @@ ALPHAS = (0.0, 0.5, 1.0, 2.0)
 
 def fixed_step_sup(projector, part, alpha, rng, n_random=64, ascent_steps=20):
     """(value, eigenstate max, candidates, steps that gained) of the fixed-step ascent."""
-    stack, layout = _window_stack(
-        projector.lattice,
-        part,
-        {n: sel.eigenvectors for n, sel in projector.selections.items()},
-    )
+    vectors = {n: sel.eigenvectors for n, sel in projector.selections.items()}
+    stack, layout = _window_stack(projector.lattice, part, vectors)
     total = len(stack)
     if total == 0:
         return 0.0, 0.0, 0, []
     best_val, best_coeff, eigen_max, candidates = -np.inf, None, 0.0, 0
-    for lo, hi in layout:
+    for n, (lo, hi) in zip(sorted(vectors), layout):
         if hi == lo:
             continue
         coeffs = _with_random(hi - lo, n_random, rng)
-        values = _renyi_rows(_schmidt_rows(np.tensordot(coeffs, stack[lo:hi], axes=1)), alpha)
+        lam = _sector_spectra(projector.lattice, part.sites, n, vectors[n], coeffs)
+        values = _renyi_rows(lam, alpha)
         candidates += len(values)
         eigen_max = max(eigen_max, float(values[: hi - lo].max()))
         k = int(np.argmax(values))
