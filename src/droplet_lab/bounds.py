@@ -195,8 +195,7 @@ def check_edge_weighted_sum(mu: float, n: int, lattice: Lattice) -> SumCheck:
     """Finite-lattice sum weighted by cluster and edge distances vs its bound."""
     if mu <= 0 or n < 1:
         raise DomainError(f"need mu > 0 and n >= 1, got mu={mu}, n={n}")
-    edge = (-lattice.L, lattice.L)
-    total = 0.0
-    for x in enumerate_sector(lattice, n):
-        total += math.exp(-mu * (distance_to_clustered(x) + distance_to_edge(x, edge)))
+    sites = enumerate_sector(lattice, n).sites
+    distances = distance_to_clustered(sites) + distance_to_edge(sites, (0, lattice.size - 1))
+    total = sum(math.exp(-mu * d) for d in distances.tolist())
     return SumCheck(lhs=total, bound=edge_sum_constant(mu), doubling_delta=0.0)

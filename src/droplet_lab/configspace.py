@@ -2,9 +2,9 @@
 
 Sites live on the symmetric interval [-L, L]; a configuration is the strictly
 increasing tuple of occupied sites (down spins).  This module enumerates the
-fixed particle-number sectors and provides the l1 distances (pair, to the
-clustered set, to an interval edge) that every decay estimate in the package
-is phrased in.
+fixed particle-number sectors as arrays of site indices in colex order, and
+provides the l1 distances (pair, to the clustered set, to an interval edge)
+that every decay estimate is phrased in, per configuration or per array row.
 
 It also owns the one combinatorial rank of the package, `occupation_rank`:
 the position of an occupation pattern over an ordered site list in (count,
@@ -16,9 +16,8 @@ keeps a lookup table of configurations.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, cached_property
 from math import comb
 
 import numpy as np
@@ -100,8 +99,27 @@ def config_ranks(lattice: Lattice, configs) -> tuple[np.ndarray, np.ndarray]:
     return counts, occupation_rank(occ) - _count_offsets(lattice.size)[counts]
 
 
+def _colex_sites(size: int, n: int) -> np.ndarray:
+    """Read-only (C(size, n), n) array of the n-subsets of range(size), in colex order."""
+    # The k-subsets with top t are the colex-first C(t, k - 1) (k - 1)-subsets
+    # with t appended; tops stop where the other n - k sites still fit above.
+    binomials = _binomials(size)
+    sites = np.zeros((1, 0), dtype=np.intp)
+    for k in range(1, n + 1):
+        tops = np.arange(k - 1, size - n + k)
+        counts = binomials[tops, k - 1]
+        prefix = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+        sites = np.column_stack([sites[prefix], np.repeat(tops, counts)])
+    sites.flags.writeable = False
+    return sites
+
+
 class SectorBasis:
-    """All n-particle configurations of a lattice in colexicographic order."""
+    """All n-particle configurations of a lattice in colexicographic order.
+
+    `sites` is the sector's one stored form: a read-only (dim, n) array of
+    each configuration's site indices (site + L), ascending along a row.
+    """
 
     def __init__(self, lattice: Lattice, n: int):
         if n < 0 or n > lattice.size:
@@ -110,9 +128,12 @@ class SectorBasis:
             )
         self.lattice = lattice
         self.n = n
-        self.configs: list[Config] = sorted(
-            itertools.combinations(lattice.sites, n), key=lambda c: c[::-1]
-        )
+        self.sites = _colex_sites(lattice.size, n)
+
+    @cached_property
+    def configs(self) -> list[Config]:
+        """The configurations as tuples of sites, in basis order."""
+        return [tuple(row) for row in (self.sites - self.lattice.L).tolist()]
 
     def index_of(self, config: Config) -> int:
         """The configuration's ordinal, its colex rank; DomainError if it is not in the sector."""
@@ -123,20 +144,15 @@ class SectorBasis:
 
     def occupation(self) -> np.ndarray:
         """Boolean (dim, |lattice|) occupation mask of the configurations, in basis order."""
-        dim = len(self.configs)
-        sites = np.array(self.configs, dtype=np.int64).reshape(dim, self.n) + self.lattice.L
-        occ = np.zeros((dim, self.lattice.size), dtype=bool)
-        occ[np.arange(dim)[:, None], sites] = True
+        occ = np.zeros((len(self), self.lattice.size), dtype=bool)
+        np.put_along_axis(occ, self.sites, True, axis=1)
         return occ
 
     def __len__(self) -> int:
-        return len(self.configs)
+        return len(self.sites)
 
     def __getitem__(self, i: int) -> Config:
-        return self.configs[i]
-
-    def __iter__(self):
-        return iter(self.configs)
+        return tuple((self.sites[i] - self.lattice.L).tolist())
 
 
 _basis_cache: dict[tuple[int, int], SectorBasis] = {}
@@ -151,37 +167,38 @@ def enumerate_sector(lattice: Lattice, n: int) -> SectorBasis:
     return basis
 
 
-def config_distance(x: Config, y: Config) -> int:
+def config_distance(x, y) -> np.ndarray:
     """l1 distance sum_k |x_k - y_k| between same-size sorted configurations."""
-    if len(x) != len(y):
-        raise DomainError(f"particle counts differ: {len(x)} vs {len(y)}")
-    return sum(abs(a - b) for a, b in zip(x, y))
+    x, y = np.asarray(x, dtype=np.int64), np.asarray(y, dtype=np.int64)
+    if x.shape[-1] != y.shape[-1]:
+        raise DomainError(f"particle counts differ: {x.shape[-1]} vs {y.shape[-1]}")
+    return np.abs(x - y).sum(axis=-1)
 
 
-def distance_to_clustered(x: Config) -> int:
-    """l1 distance from x to the nearest single-cluster placement.
+def distance_to_clustered(x) -> np.ndarray:
+    """l1 distance from each configuration to the nearest single-cluster placement.
 
     Aligning particle k with cluster slot k reduces the minimum over cluster
     starts s to min_s sum_k |u_k - s| with u_k = x_k - k, which a median of u
-    attains.  The optimal cluster sits inside [x_1, x_n], so restricting
-    placements to any lattice containing x changes nothing.
+    attains.  The optimal cluster sits inside [x_1, x_n], so neither a shift
+    of x nor restricting placements to a lattice containing x changes anything.
     """
-    n = len(x)
-    if n <= 1:
-        return 0
-    u = [site - k for k, site in enumerate(x)]
+    x = np.asarray(x, dtype=np.int64)
+    n = x.shape[-1]
+    u = x - np.arange(n)
     half = n // 2
-    return sum(u[n - 1 - i] - u[i] for i in range(half))
+    return u[..., n - half :].sum(axis=-1) - u[..., :half].sum(axis=-1)
 
 
-def distance_to_edge(x: Config, interval: tuple[int, int]) -> int:
-    """Minimum particle distance to the extreme sites of an interval."""
-    if not x:
+def distance_to_edge(x, interval: tuple[int, int]) -> np.ndarray:
+    """Minimum particle distance of each configuration to the extreme sites of an interval."""
+    x = np.asarray(x, dtype=np.int64)
+    if x.shape[-1] == 0:
         raise DomainError("distance_to_edge is undefined for the empty configuration")
     lo, hi = interval
     if hi < lo:
         raise DomainError(f"empty interval ({lo}, {hi})")
-    return min(min(abs(u - lo), abs(u - hi)) for u in x)
+    return np.minimum(np.abs(x - lo), np.abs(x - hi)).min(axis=-1)
 
 
 def centered_cluster(lattice: Lattice, n: int) -> Config:

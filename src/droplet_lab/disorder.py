@@ -245,6 +245,8 @@ def area_law_experiment(
     if not 0.0 < epsilon < min(alpha, 1.0):
         raise DomainError(f"epsilon must lie in (0, min(alpha, 1)), got {epsilon}")
     block_sizes = tuple(block_sizes)
+    if len(block_sizes) < 2:
+        raise DomainError(f"the area-law trend needs at least two block sizes, got {block_sizes}")
     if any(b <= a for a, b in zip(block_sizes, block_sizes[1:])):
         raise DomainError(f"block sizes must increase, got {block_sizes}")
     # Column-major, so each block's samples are contiguous and their means

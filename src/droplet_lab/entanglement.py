@@ -197,13 +197,6 @@ def min_side_entropy(psi: AmplitudeMap, part: Bipartition, alpha: float) -> Entr
     return report
 
 
-def _multi_cluster(basis) -> np.ndarray:
-    """Mask of the sector's configurations with two or more clusters."""
-    mask = np.zeros(len(basis), dtype=bool)
-    mask[list(cluster_mask(basis, 2).kept)] = True
-    return mask
-
-
 @dataclass(frozen=True)
 class HartleyBoundReport:
     value: float
@@ -222,18 +215,18 @@ def _require_clustered(lattice: Lattice, parts: dict[int, np.ndarray]) -> None:
 
     `parts` maps a sector n to the amplitudes of one or more states, one row each.
     """
+    multi = {m: cluster_mask(enumerate_sector(lattice, m), 2) for m in parts}
     outside = {
-        m: (np.abs(np.atleast_2d(values)) > 1e-14) & _multi_cluster(enumerate_sector(lattice, m))
-        for m, values in parts.items()
+        m: np.abs(np.atleast_2d(values)[:, multi[m]]) > 1e-14 for m, values in parts.items()
     }
     at_fault = [np.flatnonzero(mask.any(axis=1)) for mask in outside.values()]
     first = min((int(rows[0]) for rows in at_fault if rows.size), default=None)
     if first is None:
         return
     offenders = [
-        enumerate_sector(lattice, m)[int(i)]
+        enumerate_sector(lattice, m)[k]
         for m, mask in outside.items()
-        for i in np.flatnonzero(mask[first])
+        for k in multi[m][mask[first]]
     ]
     raise DomainError(f"state is not supported on clustered configurations: {offenders[:5]}")
 

@@ -4,9 +4,9 @@ The Hamiltonian conserves particle number, so it is assembled sector by
 sector in the hard-core basis: diagonal entries carry half the domain-wall
 count plus the boundary-field and on-site-field energies, off-diagonal
 entries couple configurations related by one hop into an empty neighbor with
-amplitude -delta_inv/2.  Both assemblers read a field-free template of the
-sector (walls, end-site occupancy, particle sites and hop positions), built
-once per sector with one vectorized pass per bond: `assemble_sector` scatters
+amplitude -delta_inv/2.  Both assemblers read the basis's site array and a
+field-free template of the sector (walls, end-site occupancy and hop
+positions), built once per sector with one vectorized pass per bond: `assemble_sector` scatters
 it into a dense matrix, `assemble_sector_sparse` wraps the same arrays as a
 sparse array for the sectors large enough to be solved by Lanczos.  An
 independent full tensor-product assembly over the 2^|lattice| spin space
@@ -21,7 +21,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .configspace import Config, Lattice, SectorBasis, _binomials
+from .configspace import Lattice, SectorBasis, _binomials
 from .errors import DomainError, ResourceError
 
 BOUNDARY_MODES = ("standard", "droplet")
@@ -81,12 +81,12 @@ class SectorMatrix:
 
     `entries` is a dense array, or a `scipy.sparse` CSR array when built by
     `assemble_sector_sparse`.  `kept` is None for a full sector; for a
-    restriction it lists the retained ordinals of `basis`.
+    restriction it is the int array of the retained ordinals of `basis`.
     """
 
     basis: SectorBasis
     entries: np.ndarray
-    kept: tuple[int, ...] | None = None
+    kept: np.ndarray | None = None
 
     @property
     def dim(self) -> int:
@@ -94,25 +94,16 @@ class SectorMatrix:
 
 
 @dataclass(frozen=True)
-class RestrictionMask:
-    """Ordered subset of sector ordinals to keep."""
-
-    kept: tuple[int, ...]
-
-
-@dataclass(frozen=True)
 class _SectorTemplate:
     """Field-free structure of one sector, per configuration in basis order.
 
     `walls` counts the domain walls inside the chain and `boundary` the
-    occupied end sites; `sites` holds each configuration's site indices
-    (site + L), ascending; `hop_rows`/`hop_cols` are the off-diagonal
+    occupied end sites; `hop_rows`/`hop_cols` are the off-diagonal
     positions, bond by bond.
     """
 
     walls: np.ndarray
     boundary: np.ndarray
-    sites: np.ndarray
     hop_rows: np.ndarray
     hop_cols: np.ndarray
 
@@ -138,7 +129,6 @@ def _build_template(basis: SectorBasis) -> _SectorTemplate:
     return _SectorTemplate(
         walls=np.sum(occ[:, :-1] != occ[:, 1:], axis=1),
         boundary=occ[:, 0].astype(int) + occ[:, -1],
-        sites=np.nonzero(occ)[1].reshape(len(basis), basis.n),
         hop_rows=np.concatenate(rows),
         hop_cols=np.concatenate(cols),
     )
@@ -167,7 +157,7 @@ def _diagonal(params: ModelParams, basis: SectorBasis, template: _SectorTemplate
     values = np.array([params.field_value(u) for u in basis.lattice.sites])
     onsite = np.zeros(len(basis))
     for k in range(basis.n):
-        onsite += values[template.sites[:, k]]
+        onsite += values[basis.sites[:, k]]
     return 0.5 * template.walls + params.beta * template.boundary + onsite
 
 
@@ -194,36 +184,26 @@ def assemble_sector_sparse(params: ModelParams, basis: SectorBasis) -> SectorMat
     return SectorMatrix(basis=basis, entries=entries)
 
 
-def cluster_mask(basis: SectorBasis, k_min: int) -> RestrictionMask:
-    """Ordinals of the configurations with at least k_min clusters, read off the sector template."""
+def cluster_mask(basis: SectorBasis, k_min: int) -> np.ndarray:
+    """Ascending ordinals (an int array) of the configurations with at least k_min clusters."""
     if k_min < 1:
         raise DomainError(f"k_min must be >= 1, got {k_min}")
     template = _sector_template(basis)
     # Every cluster has two walls, but an occupied end site stands in for one.
     clusters = (template.walls + template.boundary) // 2
-    return RestrictionMask(kept=tuple(np.flatnonzero(clusters >= k_min).tolist()))
+    return np.flatnonzero(clusters >= k_min)
 
 
-def restrict(matrix: SectorMatrix, mask: RestrictionMask) -> SectorMatrix:
+def restrict(matrix: SectorMatrix, kept: np.ndarray) -> SectorMatrix:
+    """The sub-block of a full sector's matrix on the ordinals `kept` (an int array)."""
     if matrix.kept is not None:
         raise DomainError("matrix is already a restriction")
     dim = matrix.dim
-    for i in mask.kept:
-        if not 0 <= i < dim:
-            raise DomainError(f"mask ordinal {i} outside [0, {dim})")
-    idx = np.asarray(mask.kept, dtype=int)
-    sub = matrix.entries[np.ix_(idx, idx)]
-    return SectorMatrix(basis=matrix.basis, entries=sub, kept=tuple(mask.kept))
-
-
-def product_state_index(lattice: Lattice, x: Config) -> int:
-    """Index of the spin product state of `x` in the tensor basis.
-
-    Site -L is the leading tensor factor; per site, spin up precedes spin
-    down (= occupied).
-    """
-    N = lattice.size
-    return sum(1 << (N - 1 - (u + lattice.L)) for u in x)
+    outside = (kept < 0) | (kept >= dim)
+    if outside.any():
+        raise DomainError(f"mask ordinal {kept[outside][0]} outside [0, {dim})")
+    sub = matrix.entries[np.ix_(kept, kept)]
+    return SectorMatrix(basis=matrix.basis, entries=sub, kept=kept)
 
 
 def assemble_full_oracle(params: ModelParams, lattice: Lattice) -> np.ndarray:
@@ -265,6 +245,9 @@ def assemble_full_oracle(params: ModelParams, lattice: Lattice) -> np.ndarray:
 
 
 def oracle_sector_block(full: np.ndarray, lattice: Lattice, basis: SectorBasis) -> np.ndarray:
-    """Rows/columns of the full oracle reordered to one sector basis."""
-    idx = np.array([product_state_index(lattice, x) for x in basis], dtype=int)
+    """Rows/columns of the full oracle reordered to one sector basis.
+
+    Site -L is the leading tensor factor; per site, spin up precedes spin down (= occupied).
+    """
+    idx = basis.occupation() @ (1 << np.arange(lattice.size - 1, -1, -1))
     return full[np.ix_(idx, idx)]

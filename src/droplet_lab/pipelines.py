@@ -136,6 +136,13 @@ def thresholds_pipeline(
 ) -> PipelineResult:
     """Cluster-count energy thresholds for the bare chain and random fields."""
     lattice = Lattice(L)
+    # At most every other site starts a cluster.
+    unreachable = [k for k in ks if k > lattice.L + 1]
+    if unreachable:
+        raise DomainError(
+            f"no configuration of {lattice.size} sites has k={unreachable} clusters; "
+            f"at most {lattice.L + 1}"
+        )
     # The margins are those of the field-free chain whatever the draw, so
     # each is computed once.  A draw only adds the field-dominance check,
     # whose smallest k covers the larger ones.
@@ -165,18 +172,21 @@ def _reference_nonclustered(lattice: Lattice, n: int):
     return moved
 
 
+def _envelope(distances: np.ndarray, values: np.ndarray) -> list[tuple[int, float]]:
+    """(distance, largest value at it) for every distance present, ascending."""
+    present, group = np.unique(distances, return_inverse=True)
+    peak = np.zeros(len(present))
+    np.maximum.at(peak, group, values)
+    return list(zip(present.tolist(), peak.tolist()))
+
+
 def _greens_envelope(params: ModelParams, lattice: Lattice, n: int, energy: float):
     basis = enumerate_sector(lattice, n)
     slice_ = greens_function(params, basis, energy)
     x0 = _reference_nonclustered(lattice, n)
-    j0 = slice_.config_index(x0)
-    column = slice_.column(j0)
-    envelope: dict[int, float] = {}
-    for pos, ordinal in enumerate(slice_.kept):
-        y = basis[ordinal]
-        d = config_distance(x0, y)
-        envelope[d] = max(envelope.get(d, 0.0), abs(float(column[pos])))
-    return sorted(envelope.items())
+    column = slice_.column(slice_.config_index(x0))
+    distances = config_distance(np.add(x0, lattice.L), basis.sites[slice_.kept])
+    return _envelope(distances, np.abs(column))
 
 
 def ct_decay_pipeline(
@@ -241,7 +251,7 @@ def dos_bound_pipeline(
     projector = droplet_projector(params, lattice, window)
     rows = []
     worst_pointwise = -math.inf
-    envelope: dict[int, float] = {}
+    distances, doses = [], []
     for n in range(lattice.size + 1):
         basis = enumerate_sector(lattice, n)
         dos = local_dos_by_sector(projector, n)
@@ -250,11 +260,14 @@ def dos_bound_pipeline(
             worst_pointwise = max(
                 worst_pointwise, float((vectors**2 - dos[:, None]).max())
             )
-        for i, x in enumerate(basis):
-            d = distance_to_clustered(x)
-            rows.append((n, "+".join(str(u) for u in x) or "vacuum", d, float(dos[i])))
-            envelope[d] = max(envelope.get(d, 0.0), float(dos[i]))
-    fit = fit_exponential_envelope(sorted(envelope.items()))
+        d = distance_to_clustered(basis.sites)
+        rows.extend(
+            (n, "+".join(map(str, x)) or "vacuum", dx, value)
+            for x, dx, value in zip(basis.configs, d.tolist(), dos.tolist())
+        )
+        distances.append(d)
+        doses.append(dos)
+    fit = fit_exponential_envelope(_envelope(np.concatenate(distances), np.concatenate(doses)))
     verdicts = {
         "amplitude_bounded_by_dos": worst_pointwise <= POINTWISE_TOL,
         "dos_decay_rate_positive": fit.mu > MIN_DECAY_RATE,
@@ -277,6 +290,8 @@ def ising_entropy_pipeline(
 ) -> PipelineResult:
     """Hartley bounds for cluster-supported states plus the saturation witness."""
     lattice = Lattice(L)
+    if n_states < 1:
+        raise DomainError(f"need at least one state, got n_states={n_states}")
     support = [()]
     for n in range(1, lattice.size + 1):
         support.extend(all_cluster_configs(lattice, n))
@@ -577,6 +592,8 @@ def evolve_entropy_pipeline(
 ) -> PipelineResult:
     """Entropy of evolving low-energy states against the fitted log envelope."""
     lattice = Lattice(L)
+    if n_states < 1:
+        raise DomainError(f"need at least one state, got n_states={n_states}")
     params = ModelParams(delta_inv=delta_inv)
     window = auto_window(params, window_fraction)
     if block_sizes is None:

@@ -273,10 +273,10 @@ def threshold_check(params: ModelParams, lattice: Lattice, k: int) -> float:
     margin = math.inf
     for n in range(lattice.size + 1):
         basis = enumerate_sector(lattice, n)
-        mask = cluster_mask(basis, k)
-        if not mask.kept:
+        kept = cluster_mask(basis, k)
+        if not kept.size:
             continue
-        lowest = eigensolve(restrict(assemble_sector(bare, basis), mask)).eigenvalues[0]
+        lowest = eigensolve(restrict(assemble_sector(bare, basis), kept)).eigenvalues[0]
         margin = min(margin, float(lowest) - k * (1.0 - params.delta_inv))
     if params.field is not None:
         field_dominance_check(params, lattice, k)
@@ -293,7 +293,7 @@ def field_dominance_check(params: ModelParams, lattice: Lattice, k: int) -> None
     """
     for n in range(lattice.size + 1):
         basis = enumerate_sector(lattice, n)
-        idx = np.asarray(cluster_mask(basis, k).kept, dtype=int)
+        idx = cluster_mask(basis, k)
         if not idx.size:
             continue
         added = assemble_sector(params, basis).entries - assemble_sector(
@@ -513,13 +513,12 @@ class GreensSlice:
     the full inverse is only ever materialized column by column.
     """
 
-    def __init__(self, energy: float, kept: tuple[int, ...], basis, factor):
+    def __init__(self, energy: float, kept: np.ndarray, basis, factor):
         self.energy = energy
         self.kept = kept
         self.basis = basis
         self._factor = factor
         self._columns: dict[int, np.ndarray] = {}
-        self._position = {ordinal: i for i, ordinal in enumerate(kept)}
 
     @property
     def dim(self) -> int:
@@ -539,8 +538,8 @@ class GreensSlice:
 
     def config_index(self, x: Config) -> int:
         ordinal = self.basis.index_of(tuple(x))
-        pos = self._position.get(ordinal)
-        if pos is None:
+        pos = int(np.searchsorted(self.kept, ordinal))
+        if pos == len(self.kept) or self.kept[pos] != ordinal:
             raise DomainError(f"{tuple(x)} is not in the >=2-cluster restriction")
         return pos
 
@@ -552,8 +551,7 @@ def greens_function(params: ModelParams, basis, energy: float) -> GreensSlice:
         raise DomainError(
             f"energy {energy!r} outside the admissible window [0, {limit!r})"
         )
-    mask = cluster_mask(basis, 2)
-    matrix = restrict(assemble_sector(params, basis), mask)
+    matrix = restrict(assemble_sector(params, basis), cluster_mask(basis, 2))
     shifted = matrix.entries - energy * np.eye(matrix.dim)
     try:
         factor = scipy.linalg.cho_factor(shifted)

@@ -128,6 +128,32 @@ def test_window_precondition_exits_one(tmp_path, capsys):
     assert "window" in err or "delta_inv" in err
 
 
+def test_ising_entropy_without_states_exits_one(tmp_path, capsys):
+    for states in ("0", "-3"):
+        argv = ["ising-entropy", "--L", "4", "--states", states, "--no-cache"]
+        assert run(argv + ["--outdir", str(tmp_path)]) == 1
+        assert "n_states" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def test_evolve_entropy_without_states_exits_one(tmp_path, capsys):
+    argv = ["evolve-entropy", "--L", "3", "--states", "0", "--no-cache"]
+    assert run(argv + ["--outdir", str(tmp_path)]) == 1
+    assert "n_states" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def test_unreachable_threshold_exits_one(tmp_path, capsys):
+    assert run(["thresholds", "--L", "2", "--k", "9", "--no-cache", "--outdir", str(tmp_path)]) == 1
+    assert "k=[9]" in capsys.readouterr().err
+
+
+def test_area_law_with_one_block_size_exits_one(tmp_path, capsys):
+    argv = ["area-law", "--L", "3", "--block-sizes", "3", "--samples", "2", "--no-contrast"]
+    assert run(argv + ["--no-cache", "--outdir", str(tmp_path)]) == 1
+    assert "at least two block sizes" in capsys.readouterr().err
+
+
 def test_spectrum_run_writes_record_and_csv(tmp_path):
     code = run(
         ["spectrum", "--L", "2", "--delta-inv", "0.2", "--no-cache", "--outdir", str(tmp_path)]
@@ -192,7 +218,7 @@ def test_env_cache_dir(tmp_path, monkeypatch):
 
 def test_cache_misses_under_another_source_digest(tmp_path, monkeypatch, capsys):
     args = [
-        "thresholds", "--L", "1", "--delta-inv", "0.3",
+        "thresholds", "--L", "1", "--delta-inv", "0.3", "--k", "1", "2",
         "--cache", "--cache-dir", str(tmp_path / "cache"),
     ]
     monkeypatch.setattr(cli, "source_digest", lambda: "a" * 64)

@@ -9,6 +9,7 @@ from loop_oracle import cluster_decompose
 
 from droplet_lab.configspace import (
     Lattice,
+    _colex_sites,
     centered_cluster,
     config_distance,
     distance_to_clustered,
@@ -43,6 +44,39 @@ def test_enumerate_sector_small_by_hand():
     assert basis.configs == [(-1, 0), (-1, 1), (0, 1)]
     vacuum = enumerate_sector(Lattice(1), 0)
     assert vacuum.configs == [()]
+
+
+def _colex_reference(size, n):
+    subsets = sorted(itertools.combinations(range(size), n), key=lambda c: c[::-1])
+    return np.array(subsets, dtype=np.intp).reshape(len(subsets), n)
+
+
+def test_colex_sites_match_itertools_byte_for_byte():
+    for size in range(15):
+        for n in range(size + 1):
+            sites = _colex_sites(size, n)
+            expected = _colex_reference(size, n)
+            assert sites.dtype == expected.dtype and sites.shape == expected.shape
+            assert sites.tobytes() == expected.tobytes(), (size, n)
+
+
+@pytest.mark.parametrize("L", [1, 2, 3, 4, 5, 6])
+def test_sector_sites_are_the_colex_site_indices(L):
+    lat = Lattice(L)
+    for n in range(lat.size + 1):
+        basis = enumerate_sector(lat, n)
+        assert basis.sites.tobytes() == _colex_reference(lat.size, n).tobytes()
+        assert basis.sites.shape == (comb(lat.size, n), n)
+        assert basis.configs == [tuple(u - L for u in row) for row in _colex_reference(lat.size, n)]
+        assert [basis[i] for i in range(len(basis))] == list(basis) == basis.configs
+
+
+def test_sector_sites_are_read_only():
+    basis = enumerate_sector(Lattice(2), 2)
+    with pytest.raises(ValueError):
+        basis.sites[0, 0] = 4
+    with pytest.raises(ValueError):
+        basis.sites.sort(axis=0)
 
 
 def test_enumerate_sector_size_l4_n3():
@@ -174,6 +208,37 @@ def test_distance_to_edge_transport_inequality():
                     config_distance(x, w) + distance_to_edge(x, interval)
                     >= distance_to_edge(w, interval)
                 )
+
+
+@pytest.mark.parametrize("L", [1, 2, 3, 4])
+def test_distance_arrays_match_per_tuple_values(L):
+    lat = Lattice(L)
+    edge = (-1, L)
+    for n in range(lat.size + 1):
+        basis = enumerate_sector(lat, n)
+        configs = np.array(basis.configs, dtype=np.int64).reshape(len(basis), n)
+        for sites in (configs, basis.sites):  # lattice sites and site indices (site + L)
+            shift = int(sites[0, 0] - configs[0, 0]) if n else 0
+            to_cluster = distance_to_clustered(sites)
+            assert to_cluster.shape == (len(basis),)
+            for i, x in enumerate(basis):
+                assert to_cluster[i] == distance_to_clustered(x)
+                assert to_cluster[i] == (brute_force_distance_to_clustered(lat, x) if n > 1 else 0)
+            y = basis[len(basis) // 2]
+            pair = config_distance(np.add(y, shift), sites)
+            assert pair.tolist() == [sum(abs(a - b) for a, b in zip(y, x)) for x in basis]
+            assert config_distance(sites, sites[::-1]).tolist() == [
+                config_distance(x, w) for x, w in zip(basis, reversed(basis.configs))
+            ]
+            if n:
+                to_edge = distance_to_edge(sites, (edge[0] + shift, edge[1] + shift))
+                assert to_edge.tolist() == [
+                    min(min(abs(u - edge[0]), abs(u - edge[1])) for u in x) for x in basis
+                ]
+    with pytest.raises(DomainError):
+        config_distance(enumerate_sector(lat, 2).sites, (0,))
+    with pytest.raises(DomainError):
+        distance_to_edge(enumerate_sector(lat, 0).sites, (0, 1))
 
 
 def test_centered_cluster():

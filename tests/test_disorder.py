@@ -160,6 +160,9 @@ def test_area_law_validation():
         area_law_experiment(spec, template, lat, window, (2, 3), 1.0, 1.5)
     with pytest.raises(DomainError):
         area_law_experiment(spec, template, lat, window, (3, 2), 1.0, 0.5)
+    for sizes in ((3,), ()):
+        with pytest.raises(DomainError, match="at least two block sizes"):
+            area_law_experiment(spec, template, lat, window, sizes, 1.0, 0.5)
 
 
 def test_area_law_reproducible_and_bounded_below():

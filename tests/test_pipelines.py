@@ -1,15 +1,16 @@
 """Pipeline-level behavior at reduced desk scale."""
 
 import importlib
+import math
 import pkgutil
 
 import numpy as np
 import pytest
 
-from droplet_lab import hamiltonian, spectral
+from droplet_lab import hamiltonian, pipelines, spectral
 from droplet_lab.configspace import Lattice
 from droplet_lab.disorder import TREND_TOL, DisorderSpec
-from droplet_lab.errors import VerificationError
+from droplet_lab.errors import DomainError, VerificationError
 from droplet_lab.hamiltonian import ModelParams
 from droplet_lab.pipelines import (
     area_law_pipeline,
@@ -212,6 +213,26 @@ def _per_draw_threshold_rows(L, delta_inv, ks, field_draws, seed):
             margin = threshold_check(ModelParams(delta_inv, field=field), lattice, k)
             rows.append(("zero" if draw == 0 else f"draw{draw}", k, margin))
     return rows
+
+
+def test_envelope_keeps_the_largest_value_per_distance():
+    rng = np.random.default_rng(5)
+    distances = rng.integers(0, 6, 200)
+    values = rng.random(200)
+    envelope = {}
+    for d, v in zip(distances.tolist(), values.tolist()):
+        envelope[d] = max(envelope.get(d, 0.0), v)
+    assert pipelines._envelope(distances, values) == sorted(envelope.items())
+
+
+def test_thresholds_pipeline_rejects_unreachable_cluster_counts():
+    # Five sites hold at most three clusters (sites -2, 0, 2).
+    assert thresholds_pipeline(2, 0.3, ks=(3,), field_draws=0).verdicts
+    for ks in ((9,), (1, 4)):
+        with pytest.raises(DomainError, match=f"k=\\[{ks[-1]}\\].*at most 3"):
+            thresholds_pipeline(2, 0.3, ks=ks, field_draws=0)
+    # threshold_check itself still reports no restricted sector as an infinite margin.
+    assert threshold_check(ModelParams(0.3), Lattice(2), 9) == math.inf
 
 
 def test_thresholds_pipeline_solves_the_field_free_margins_once(monkeypatch):

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from droplet_lab import pipelines
 from droplet_lab.configspace import (
     Lattice,
     centered_cluster,
@@ -217,6 +218,20 @@ def test_greens_decay_along_row():
         envelope[d] = max(envelope.get(d, 0.0), abs(float(column[pos])))
     fit = fit_exponential_envelope(sorted(envelope.items()))
     assert fit.mu > 0.05
+    # The ct-decay pipeline reads the same envelope off the site arrays.
+    assert pipelines._greens_envelope(params, lat, 2, 1.0) == sorted(envelope.items())
+
+
+def test_greens_config_index_is_the_position_among_the_kept_ordinals():
+    lat = Lattice(3)
+    basis = enumerate_sector(lat, 2)
+    slice_ = greens_function(ModelParams(delta_inv=0.1), basis, 0.5)
+    for pos, ordinal in enumerate(slice_.kept):
+        assert slice_.config_index(basis[ordinal]) == pos
+    # Single clusters lie outside the restriction: the first, a middle and the last ordinal.
+    for x in ((-3, -2), (0, 1), (2, 3)):
+        with pytest.raises(DomainError, match="restriction"):
+            slice_.config_index(x)
 
 
 def test_fit_exponential_envelope_exact():
