@@ -8,7 +8,7 @@ from .configspace import (
     distance_to_edge,
     enumerate_sector,
 )
-from .entanglement import Bipartition, entropy, matricize, min_side_entropy, renyi_entropy
+from .entanglement import Bipartition, matricize, renyi_entropy
 from .hamiltonian import ModelParams, assemble_full_oracle, assemble_sector, cluster_mask, restrict
 from .spectral import (
     DropletWindow,
@@ -42,7 +42,6 @@ __all__ = [
     "distance_to_edge",
     "droplet_projector",
     "eigensolve",
-    "entropy",
     "enumerate_sector",
     "evolve",
     "fit_exponential_envelope",
@@ -51,7 +50,6 @@ __all__ = [
     "ground_state_check",
     "local_dos",
     "matricize",
-    "min_side_entropy",
     "renyi_entropy",
     "restrict",
     "threshold_check",

@@ -20,6 +20,7 @@ vectors stacked once per block (`_window_stack`, `_candidate_spectra`).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from math import comb
 
@@ -32,7 +33,6 @@ from .hamiltonian import ModelParams, cluster_mask
 from .states import AmplitudeMap
 
 RANK_TOL = 1e-12
-SCHMIDT_MATCH_TOL = 1e-10
 FROBENIUS_TOL = 1e-12
 
 
@@ -85,9 +85,7 @@ class Matricization:
     matrix: np.ndarray
 
 
-_split_cache: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
-
-
+@functools.cache
 def _split_indices(lattice: Lattice, row_sites: tuple[int, ...], n: int):
     """Row/column scatter positions of every n-particle configuration.
 
@@ -95,15 +93,30 @@ def _split_indices(lattice: Lattice, row_sites: tuple[int, ...], n: int):
     ascending `row_sites`, the column that of its part on the other sites:
     positions among all subsets of either side, by (count, colex).
     """
-    key = (lattice.L, row_sites, n)
-    got = _split_cache.get(key)
-    if got is None:
-        occ = enumerate_sector(lattice, n).occupation()
-        inside = np.isin(lattice.sites, row_sites)
-        got = _split_cache.setdefault(
-            key, (occupation_rank(occ[:, inside]), occupation_rank(occ[:, ~inside]))
-        )
-    return got
+    occ = enumerate_sector(lattice, n).occupation()
+    inside = np.isin(lattice.sites, row_sites)
+    return occupation_rank(occ[:, inside]), occupation_rank(occ[:, ~inside])
+
+
+def _matricized(
+    lattice: Lattice, row_sites: tuple[int, ...], parts: dict[int, np.ndarray]
+) -> np.ndarray:
+    """States scattered into (states, 2^|inside|, 2^|outside|) matrices.
+
+    `parts` maps a sector n to the (states, dim) amplitudes of every state in
+    it; rows and columns are in `_split_indices`' order over the ascending
+    `row_sites`, and sectors fill disjoint entries.
+    """
+    states = len(next(iter(parts.values())))
+    inside = len(row_sites)
+    matrices = np.zeros(
+        (states, 1 << inside, 1 << (lattice.size - inside)),
+        dtype=np.result_type(float, *parts.values()),
+    )
+    for n, amplitudes in parts.items():
+        rows, cols = _split_indices(lattice, row_sites, n)
+        matrices[:, rows, cols] = amplitudes
+    return matrices
 
 
 def matricize_sites(psi: AmplitudeMap, row_sites: tuple[int, ...]) -> Matricization:
@@ -112,13 +125,9 @@ def matricize_sites(psi: AmplitudeMap, row_sites: tuple[int, ...]) -> Matricizat
     The matrix has a row for every subset of the inside sites and a column
     for every subset of the outside ones, in `_split_indices`' order.
     """
-    lattice = psi.lattice
     row_sites = tuple(sorted(row_sites))
-    dtype = complex if any(np.iscomplexobj(v) for v in psi.parts.values()) else float
-    M = np.zeros((1 << len(row_sites), 1 << (lattice.size - len(row_sites))), dtype=dtype)
-    for n, vec in psi.parts.items():
-        rows, cols = _split_indices(lattice, row_sites, n)
-        M[rows, cols] = vec
+    parts = {n: vec[None] for n, vec in psi.parts.items()}
+    M = _matricized(psi.lattice, row_sites, parts)[0]
     frob = float(np.linalg.norm(M))
     if abs(frob - psi.norm()) > FROBENIUS_TOL * max(1.0, psi.norm()):
         raise NumericError(
@@ -141,60 +150,19 @@ class EntropyReport:
     rank: int
 
 
-def _schmidt_spectrum(m: Matricization) -> np.ndarray:
-    sv = np.linalg.svd(m.matrix, compute_uv=False)
-    return np.sort(sv * sv)[::-1]
-
-
-def _renyi_from_spectrum(lam: np.ndarray, alpha: float, rank_tol: float) -> tuple[float, int]:
-    threshold = rank_tol * lam[0] if lam.size else 0.0
-    rank = int(np.sum(lam > threshold))
-    if alpha == 0:
-        return float(np.log(rank)), rank
-    positive = lam[lam > 0]
-    if alpha == 1:
-        return float(-np.sum(positive * np.log(positive))), rank
-    return float(np.log(np.sum(positive**alpha)) / (1.0 - alpha)), rank
-
-
-def renyi_entropy(m: Matricization, alpha: float, rank_tol: float = RANK_TOL) -> EntropyReport:
+def renyi_entropy(m: Matricization, alpha: float) -> EntropyReport:
     """Renyi entropy of order alpha from the matricization's singular values.
 
     alpha = 1 is the von Neumann limit (with 0*ln 0 = 0) and alpha = 0 the
-    Hartley limit ln(rank), with rank counted above rank_tol relative to the
-    largest Schmidt value.
+    Hartley limit ln(rank), with rank counted above RANK_TOL relative to the
+    largest Schmidt value.  The value is `_renyi_rows`' on the positive part
+    of the descending spectrum.
     """
-    if alpha < 0:
-        raise DomainError(f"alpha must be >= 0, got {alpha}")
-    lam = _schmidt_spectrum(m)
-    value, rank = _renyi_from_spectrum(lam, alpha, rank_tol)
-    return EntropyReport(alpha=alpha, value=max(value, 0.0), schmidt_spectrum=lam, rank=rank)
-
-
-def entropy(psi: AmplitudeMap, part: Bipartition, alpha: float) -> float:
-    return renyi_entropy(matricize(psi, part), alpha).value
-
-
-def min_side_entropy(psi: AmplitudeMap, part: Bipartition, alpha: float) -> EntropyReport:
-    """Entropy over the block, cross-checked against the complement side.
-
-    The two matricizations share their nonzero Schmidt spectra; any mismatch
-    beyond tolerance is an internal error, so the common value is returned.
-    """
-    report = renyi_entropy(matricize(psi, part), alpha)
-    other = matricize_sites(psi, part.complement_sites)
-    lam_b = report.schmidt_spectrum
-    lam_c = _schmidt_spectrum(other)
-    k = min(len(lam_b), len(lam_c))
-    mismatch = float(np.max(np.abs(lam_b[:k] - lam_c[:k]))) if k else 0.0
-    tail = max(
-        float(lam_b[k:].max(initial=0.0)), float(lam_c[k:].max(initial=0.0))
-    )
-    if max(mismatch, tail) > SCHMIDT_MATCH_TOL:
-        raise VerificationError(
-            f"Schmidt spectra from the two sides differ by {max(mismatch, tail):.3e}"
-        )
-    return report
+    sv = np.linalg.svd(m.matrix, compute_uv=False)
+    lam = sv * sv
+    rank = int(np.sum(lam > RANK_TOL * lam[0]))
+    value = float(_renyi_rows(lam[None, lam > 0], alpha)[0])
+    return EntropyReport(alpha=alpha, value=value, schmidt_spectrum=lam, rank=rank)
 
 
 @dataclass(frozen=True)
@@ -237,20 +205,22 @@ def hartley_bound_check(
     """Hartley entropy of a cluster-supported state against its two log bounds.
 
     The state must live on single-cluster configurations (vacuum included).
-    The boundary bound is ln(3 + |boundary| * (|B| - 1)); with a particle cap
-    n the tighter ln(3 + 2(min(n, |B|) - 1)) is checked as well.
+    The boundary bound is ln(3 + |boundary| * (|B| - 1)), checked by
+    `hartley_bound_batch`; with a particle cap n the tighter
+    ln(3 + 2(min(n, |B|) - 1)) is checked as well.
     """
-    _require_clustered(psi.lattice, psi.parts)
     if n is not None and psi.n_max > n:
         raise DomainError(f"state occupies sector {psi.n_max} beyond the cap n={n}")
-    s0 = renyi_entropy(matricize(psi, part), 0.0).value
-    boundary_bound = _boundary_bound(part)
+    psi.require_normalized()
+    values, bounds = hartley_bound_batch([psi], [part])
+    s0 = float(values[0, 0])
+    boundary_bound = float(bounds[0])
     particle_bound = None
     if n is not None:
         s = min(n, part.size)
         particle_bound = float(np.log(3 + 2 * (s - 1)))
     bound = boundary_bound if particle_bound is None else min(boundary_bound, particle_bound)
-    if s0 > boundary_bound + 1e-9 or (particle_bound is not None and s0 > particle_bound + 1e-9):
+    if s0 > bound + 1e-9:
         raise VerificationError(
             f"Hartley entropy {s0!r} exceeds the bound {bound!r} for |B|={part.size}"
         )
@@ -272,8 +242,9 @@ def hartley_bound_batch(
     matricized into one (states, rows, cols) array (sectors fill disjoint
     entries) and all Schmidt spectra come from one batched SVD; the rank is
     counted as `renyi_entropy(., 0)` counts it.  The states must be unit
-    vectors (`_schmidt_rows` checks it).  Raises what the per-state check
-    raises, for the first state at fault.
+    vectors (`_schmidt_rows` checks it).  Raises DomainError for the first
+    state with weight off the single clusters, and VerificationError for the
+    first entropy above its bound.
     """
     lattice = parts[0].lattice
     sectors = sorted({n for psi in states for n in psi.parts})
@@ -284,14 +255,9 @@ def hartley_bound_batch(
         for n in sectors
     }
     _require_clustered(lattice, amplitudes)
-    dtype = np.result_type(float, *amplitudes.values())
     values = np.empty((len(states), len(parts)))
     for b, part in enumerate(parts):
-        size = part.size
-        matrices = np.zeros((len(states), 1 << size, 1 << (lattice.size - size)), dtype=dtype)
-        for n, rows_of_states in amplitudes.items():
-            rows, cols = _split_indices(lattice, part.sites, n)
-            matrices[:, rows, cols] = rows_of_states
+        matrices = _matricized(lattice, part.sites, amplitudes)
         values[:, b] = _renyi_rows(_schmidt_rows(matrices), 0.0)
     bounds = np.array([_boundary_bound(part) for part in parts])
     over = values > bounds + 1e-9
@@ -313,28 +279,22 @@ class SupEstimate:
     candidates: int
 
 
-_stack_layout_cache: dict[tuple, tuple[int, int, list[tuple[np.ndarray, np.ndarray]]]] = {}
-
-
+@functools.cache
 def _stack_layout(lattice: Lattice, row_sites: tuple[int, ...], ns: tuple[int, ...]):
     """The stack's row and column counts, and each sector's scatter positions in them.
 
     Only rows and columns that some configuration of the sectors `ns` reaches
-    are kept.  Cached per (L, block sites, sectors).
+    are kept.  Cached per (lattice, block sites, sectors).
     """
-    key = (lattice.L, row_sites, ns)
-    got = _stack_layout_cache.get(key)
-    if got is None:
-        splits = [_split_indices(lattice, row_sites, n) for n in ns]
-        row_ids, row_of = np.unique(np.concatenate([r for r, _ in splits]), return_inverse=True)
-        col_ids, col_of = np.unique(np.concatenate([c for _, c in splits]), return_inverse=True)
-        ends = np.cumsum([len(r) for r, _ in splits])
-        positions = [
-            (row_of[end - len(r) : end], col_of[end - len(r) : end])
-            for (r, _), end in zip(splits, ends)
-        ]
-        got = _stack_layout_cache.setdefault(key, (len(row_ids), len(col_ids), positions))
-    return got
+    splits = [_split_indices(lattice, row_sites, n) for n in ns]
+    row_ids, row_of = np.unique(np.concatenate([r for r, _ in splits]), return_inverse=True)
+    col_ids, col_of = np.unique(np.concatenate([c for _, c in splits]), return_inverse=True)
+    ends = np.cumsum([len(r) for r, _ in splits])
+    positions = [
+        (row_of[end - len(r) : end], col_of[end - len(r) : end])
+        for (r, _), end in zip(splits, ends)
+    ]
+    return len(row_ids), len(col_ids), positions
 
 
 def _window_stack(
@@ -382,9 +342,7 @@ def _schmidt_rows(matrices: np.ndarray) -> np.ndarray:
     return _require_unit_spectra(sv * sv)
 
 
-_charge_cache: dict[tuple, tuple[np.ndarray, list[tuple[int, int, int, int]]]] = {}
-
-
+@functools.cache
 def _charge_blocks(lattice: Lattice, row_sites: tuple[int, ...], n: int):
     """Sector n's configurations in charge-block order, and the blocks' extents.
 
@@ -394,23 +352,19 @@ def _charge_blocks(lattice: Lattice, row_sites: tuple[int, ...], n: int):
     configuration.  `_split_indices` ranks rows and columns by (count,
     colex), so sorting the configurations by (row, column) lays the blocks
     out one after another in ascending a, each full and row-major.  Returns
-    that order and (start, stop, rows, cols) per block.  Cached per (L,
-    block sites, n).
+    that order and (start, stop, rows, cols) per block.  Cached per
+    (lattice, block sites, n).
     """
-    key = (lattice.L, row_sites, n)
-    got = _charge_cache.get(key)
-    if got is None:
-        rows, cols = _split_indices(lattice, row_sites, n)
-        inside, outside = len(row_sites), lattice.size - len(row_sites)
-        blocks = []
-        start = 0
-        for a in range(max(0, n - outside), min(n, inside) + 1):
-            shape = (comb(inside, a), comb(outside, n - a))
-            blocks.append((start, start + shape[0] * shape[1], *shape))
-            start = blocks[-1][1]
-        order = np.argsort((rows << outside) | cols)
-        got = _charge_cache.setdefault(key, (order, blocks))
-    return got
+    rows, cols = _split_indices(lattice, row_sites, n)
+    inside, outside = len(row_sites), lattice.size - len(row_sites)
+    blocks = []
+    start = 0
+    for a in range(max(0, n - outside), min(n, inside) + 1):
+        shape = (comb(inside, a), comb(outside, n - a))
+        blocks.append((start, start + shape[0] * shape[1], *shape))
+        start = blocks[-1][1]
+    order = np.argsort((rows << outside) | cols)
+    return order, blocks
 
 
 def _sector_spectra(

@@ -2,10 +2,12 @@
 
 The package assembles sectors from a cached field-free template, counts
 clusters and reads the window floors' single-cluster diagonals off such
-templates, places block splits by the combinatorial rank of each side and
-caches the layout of its window stacks.  The functions here compute the same things one configuration
-at a time, with explicit subset lists and dictionaries, as the package once
-did, and serve as the oracle the fast paths must reproduce byte for byte.
+templates, places block splits by the combinatorial rank of each side,
+caches the layout of its window stacks and reads every Renyi entropy through
+one batched formula.  The functions here compute the same things one
+configuration (or one state) at a time, with explicit subset lists,
+dictionaries and the package's former per-state formula, and serve as the
+oracle the fast paths must reproduce byte for byte.
 """
 
 import itertools
@@ -159,3 +161,17 @@ def window_stack_uncached(lattice: Lattice, part, vectors: dict[int, np.ndarray]
         stack[lo:hi, row_of[start:end], col_of[start:end]] = vectors[n].T
         start = end
     return stack, layout
+
+
+def renyi_from_spectrum(matrix: np.ndarray, alpha: float, rank_tol: float = 1e-12) -> tuple[float, int]:
+    """`entanglement.renyi_entropy`'s value and rank, by the per-state formula it replaced."""
+    sv = np.linalg.svd(matrix, compute_uv=False)
+    lam = np.sort(sv * sv)[::-1]
+    threshold = rank_tol * lam[0] if lam.size else 0.0
+    rank = int(np.sum(lam > threshold))
+    if alpha == 0:
+        return max(float(np.log(rank)), 0.0), rank
+    positive = lam[lam > 0]
+    if alpha == 1:
+        return max(float(-np.sum(positive * np.log(positive))), 0.0), rank
+    return max(float(np.log(np.sum(positive**alpha)) / (1.0 - alpha)), 0.0), rank

@@ -13,7 +13,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from loop_oracle import split_indices_loop
 
-from droplet_lab import entanglement
 from droplet_lab.configspace import Lattice
 from droplet_lab.entanglement import _split_indices, centered_block
 
@@ -22,11 +21,11 @@ from droplet_lab.entanglement import _split_indices, centered_block
 @given(data=st.data(), L=st.integers(1, 4))
 def test_split_matches_the_subset_lists_bytewise(data, L):
     lattice = Lattice(L)
-    # Any site set: blocks, their complements (as min_side_entropy passes
-    # them), the empty set and the whole lattice.
+    # Any site set: blocks, their complements (as a complement-side
+    # matricization passes them), the empty set and the whole lattice.
     row_sites = tuple(sorted(data.draw(st.sets(st.sampled_from(lattice.sites)))))
+    _split_indices.cache_clear()
     for n in range(lattice.size + 1):
-        entanglement._split_cache.pop((L, row_sites, n), None)
         rows, cols = _split_indices(lattice, row_sites, n)
         expected_rows, expected_cols = split_indices_loop(lattice, row_sites, n)
         assert rows.dtype == expected_rows.dtype and cols.dtype == expected_cols.dtype
@@ -35,10 +34,10 @@ def test_split_matches_the_subset_lists_bytewise(data, L):
 
 
 @pytest.mark.parametrize("L, n_max", [(10, 3), (12, 2)])
-def test_split_memory_does_not_grow_with_the_complement_subsets(monkeypatch, L, n_max):
+def test_split_memory_does_not_grow_with_the_complement_subsets(L, n_max):
     # Listing the 2^19 (L=10) or 2^23 (L=12) subsets of the complement of a
     # two-site block took over 100 MB; ranking the sector's parts takes a few.
-    monkeypatch.setattr(entanglement, "_split_cache", {})
+    _split_indices.cache_clear()
     lattice = Lattice(L)
     sites = centered_block(lattice, 2).sites
     tracemalloc.start()

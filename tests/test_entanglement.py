@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from loop_oracle import subset_index
+from loop_oracle import renyi_from_spectrum, subset_index
 
 from droplet_lab.configspace import Lattice
 from droplet_lab.entanglement import (
@@ -17,7 +17,6 @@ from droplet_lab.entanglement import (
     hartley_bound_check,
     matricize,
     matricize_sites,
-    min_side_entropy,
     renyi_entropy,
 )
 from droplet_lab.errors import DomainError
@@ -153,22 +152,56 @@ def test_hartley_ceiling():
 
 
 @pytest.mark.parametrize("L", [2, 3, 4])
-def test_min_side_entropy_agreement(L):
+def test_complement_side_entropy_agreement(L):
+    # Both sides of the cut share their nonzero Schmidt spectra.
     lat = Lattice(L)
     rng = np.random.default_rng(L)
     configs = [c for n in range(lat.size + 1) for c in itertools.combinations(lat.sites, n)]
+    part = Bipartition(lat, -1, 1)
     for _ in range(100):
         psi = random_state_on_configs(lat, configs, rng)
-        part = Bipartition(lat, -1, 1)
-        report = min_side_entropy(psi, part, 1.0)
-        direct = renyi_entropy(matricize(psi, part), 1.0)
-        assert report.value == pytest.approx(direct.value, abs=1e-9)
+        inside = renyi_entropy(matricize(psi, part), 1.0)
+        outside = renyi_entropy(matricize_sites(psi, part.complement_sites), 1.0)
+        assert outside.value == pytest.approx(inside.value, abs=1e-9)
+        k = min(len(inside.schmidt_spectrum), len(outside.schmidt_spectrum))
+        assert np.abs(inside.schmidt_spectrum[:k] - outside.schmidt_spectrum[:k]).max() <= 1e-10
+        assert inside.schmidt_spectrum[k:].max(initial=0.0) <= 1e-10
+        assert outside.schmidt_spectrum[k:].max(initial=0.0) <= 1e-10
 
 
-def test_min_side_entropy_vacuum():
+def test_complement_side_entropy_vacuum():
     lat = Lattice(2)
     psi = basis_state(lat, ())
-    assert min_side_entropy(psi, Bipartition(lat, -2, 0), 1.0).value == pytest.approx(0.0)
+    part = Bipartition(lat, -2, 0)
+    for m in (matricize(psi, part), matricize_sites(psi, part.complement_sites)):
+        report = renyi_entropy(m, 1.0)
+        assert report.value == 0.0
+        assert report.rank == 1
+
+
+@pytest.mark.parametrize("L", [1, 2, 3, 4])
+@pytest.mark.parametrize("complex_amplitudes", [False, True])
+def test_renyi_entropy_equals_the_per_state_formula(L, complex_amplitudes):
+    # renyi_entropy reads its value through the batched `_renyi_rows`; the
+    # formula it replaced must give the same value and rank, bit for bit.
+    lat = Lattice(L)
+    rng = np.random.default_rng(100 * L + complex_amplitudes)
+    configs = [c for n in range(lat.size + 1) for c in itertools.combinations(lat.sites, n)]
+    blocks = [
+        Bipartition(lat, lo, hi)
+        for lo in lat.sites
+        for hi in range(lo, L + 1)
+        if (lo, hi) != (-L, L)
+    ]
+    for _ in range(4):
+        # Random support sizes, so that low ranks and zero Schmidt values occur.
+        support = [configs[i] for i in rng.choice(len(configs), rng.integers(1, 6), replace=False)]
+        psi = random_state_on_configs(lat, support, rng, complex_amplitudes=complex_amplitudes)
+        for part in blocks:
+            m = matricize(psi, part)
+            for alpha in (0.0, 0.5, 1.0, 2.0):
+                report = renyi_entropy(m, alpha)
+                assert (report.value, report.rank) == renyi_from_spectrum(m.matrix, alpha)
 
 
 def test_matricize_sites_disconnected_complement():

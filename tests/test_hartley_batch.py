@@ -4,6 +4,8 @@
 block with `hartley_bound_batch`: one matricized stack and one batched SVD
 per block.  `_per_state_rows` below is the pipeline's former loop, one
 `hartley_bound_check` per state and block; the rows must agree exactly.
+`hartley_bound_check` itself runs the batch on one state, so each of its
+values is also held to the single-state `renyi_entropy(matricize(.), 0)`.
 """
 
 import math
@@ -12,7 +14,13 @@ import numpy as np
 import pytest
 
 from droplet_lab.configspace import Lattice, all_cluster_configs
-from droplet_lab.entanglement import Bipartition, hartley_bound_batch, hartley_bound_check
+from droplet_lab.entanglement import (
+    Bipartition,
+    hartley_bound_batch,
+    hartley_bound_check,
+    matricize,
+    renyi_entropy,
+)
 from droplet_lab.errors import DomainError
 from droplet_lab.pipelines import ising_entropy_pipeline
 from droplet_lab.states import from_amplitudes, random_state_on_configs
@@ -44,6 +52,7 @@ def _per_state_rows(L, n_states, seed):
         worst = None
         for part in _blocks(lattice):
             report = hartley_bound_check(psi, part)
+            assert report.value == renyi_entropy(matricize(psi, part), 0.0).value
             if worst is None or report.slack < worst[0]:
                 worst = (report.slack, part, report.value, report.boundary_bound)
         slack, part, value, bound = worst
@@ -76,6 +85,7 @@ def test_batch_values_equal_per_state_values_on_complex_states():
         for b, part in enumerate(blocks):
             report = hartley_bound_check(psi, part)
             assert values[j, b] == report.value
+            assert values[j, b] == renyi_entropy(matricize(psi, part), 0.0).value
             assert bounds[b] == report.boundary_bound
 
 

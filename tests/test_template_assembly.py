@@ -13,9 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from loop_oracle import assemble_sector_loop, window_floors_loop, window_stack_uncached
 
-from droplet_lab import entanglement, hamiltonian
+from droplet_lab import hamiltonian
 from droplet_lab.configspace import Lattice, enumerate_sector
-from droplet_lab.entanglement import Bipartition, _window_stack
+from droplet_lab.entanglement import Bipartition, _stack_layout, _window_stack
 from droplet_lab.hamiltonian import (
     BOUNDARY_MODES,
     LANCZOS_MIN_DIM,
@@ -122,7 +122,7 @@ def test_window_stack_matches_uncached_for_every_present_sector_set():
         sectors = range(lattice.size + 1)
         dims = {n: len(enumerate_sector(lattice, n)) for n in sectors}
         for part in _blocks(lattice) if L < 3 else [_blocks(lattice)[i] for i in (0, 9, 20)]:
-            entanglement._stack_layout_cache.clear()
+            _stack_layout.cache_clear()
             for present in itertools.product((0, 1), repeat=len(sectors)):
                 vectors = {n: rng.standard_normal((dims[n], m)) for n, m in zip(sectors, present)}
                 _assert_stack_matches(lattice, part, vectors)
