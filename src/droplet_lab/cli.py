@@ -215,17 +215,9 @@ def resolve_cache_dir(flag_value: str | None) -> Path:
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--L", type=int, default=4, help="lattice half-length")
-    parser.add_argument("--delta-inv", type=float, default=0.1, help="inverse anisotropy in [0, 1)")
-    parser.add_argument("--seed", type=int, default=0, help="master seed")
     parser.add_argument("--outdir", default="results", help="output directory")
     parser.add_argument("--cache", action=argparse.BooleanOptionalAction, default=True)
     parser.add_argument("--cache-dir", default=None, help="cache directory override")
-    parser.add_argument(
-        "--window-fraction",
-        type=float,
-        default=0.9,
-        help="window edge as a fraction of 2(1 - 3*delta_inv)",
-    )
 
 
 def _ints(*default: int) -> dict:
@@ -236,8 +228,19 @@ def _floats(*default: float) -> dict:
     return {"type": float, "nargs": "+", "default": list(default)}
 
 
+# Flags that only the commands whose call reads them declare.
+_DELTA_INV = (
+    "--delta-inv",
+    {"type": float, "default": 0.1, "help": "inverse anisotropy in [0, 1)"},
+)
+_SEED = ("--seed", {"type": int, "default": 0, "help": "master seed"})
+_WINDOW_FRACTION = (
+    "--window-fraction",
+    {"type": float, "default": 0.9, "help": "window edge as a fraction of 2(1 - 3*delta_inv)"},
+)
 _J_MAX_HELP = "window edge (default: droplet edge + 2 x field mean)"
 _DISORDER = [
+    _SEED,
     ("--dist", {"choices": ("uniform", "bernoulli", "constant"), "default": "uniform"}),
     ("--dist-a", {"type": float, "default": 0.0}),
     ("--dist-b", {"type": float, "default": 2.0}),
@@ -253,18 +256,26 @@ def _disorder_spec(args) -> DisorderSpec:
 
 
 # name: (help, arguments beyond the common ones as (flag, add_argument
-# keywords), call from the parsed arguments to the pipeline).  Each call looks
-# its pipeline up in `pipelines` when it runs, so a patched or wrapped
-# pipeline is the one called.
+# keywords), call from the parsed arguments to the pipeline).  Each call reads
+# every argument its command declares, and looks its pipeline up in
+# `pipelines` when it runs, so a patched or wrapped pipeline is the one called.
 COMMANDS = {
     "spectrum": (
         "sector spectra, zero mode, oracle agreement",
-        [("--boundary-mode", {"choices": ("standard", "droplet"), "default": "standard"})],
+        [
+            _DELTA_INV,
+            ("--boundary-mode", {"choices": ("standard", "droplet"), "default": "standard"}),
+        ],
         lambda a: pipelines.spectrum_pipeline(a.L, a.delta_inv, a.boundary_mode),
     ),
     "thresholds": (
         "cluster-count energy thresholds",
-        [("--k", _ints(1, 2, 3)), ("--field-draws", {"type": int, "default": 3})],
+        [
+            _DELTA_INV,
+            _SEED,
+            ("--k", _ints(1, 2, 3)),
+            ("--field-draws", {"type": int, "default": 3}),
+        ],
         lambda a: pipelines.thresholds_pipeline(
             a.L, a.delta_inv, ks=a.k, field_draws=a.field_draws, seed=a.seed
         ),
@@ -272,6 +283,8 @@ COMMANDS = {
     "ct-decay": (
         "restricted resolvent decay fits",
         [
+            _DELTA_INV,
+            _WINDOW_FRACTION,
             ("--n", _ints(2, 3)),
             ("--stability-L", {"type": int, "default": None, "help": "second size (0 disables)"}),
         ],
@@ -286,12 +299,16 @@ COMMANDS = {
     ),
     "dos-bound": (
         "windowed density of states decay",
-        [],
+        [_DELTA_INV, _WINDOW_FRACTION],
         lambda a: pipelines.dos_bound_pipeline(a.delta_inv, a.L, a.window_fraction),
     ),
     "ising-entropy": (
         "Hartley bounds for cluster states",
-        [("--states", {"type": int, "default": 500}), ("--witness-n", _ints(2, 3, 4))],
+        [
+            _SEED,
+            ("--states", {"type": int, "default": 500}),
+            ("--witness-n", _ints(2, 3, 4)),
+        ],
         lambda a: pipelines.ising_entropy_pipeline(
             a.L, n_states=a.states, seed=a.seed, witness_ns=a.witness_n
         ),
@@ -299,6 +316,9 @@ COMMANDS = {
     "entropy-scan": (
         "entropy growth over block sizes",
         [
+            _DELTA_INV,
+            _SEED,
+            _WINDOW_FRACTION,
             ("--block-sizes", {"type": int, "nargs": "+", "default": None}),
             ("--alphas", _floats(0.0, 0.5, 1.0, 2.0)),
             ("--n-random", {"type": int, "default": 64}),
@@ -315,12 +335,13 @@ COMMANDS = {
     ),
     "droplet-band": (
         "square-root boundary band structure",
-        [("--n-list", _ints(3, 4, 5, 6))],
+        [_DELTA_INV, ("--n-list", _ints(3, 4, 5, 6))],
         lambda a: pipelines.droplet_band_pipeline(a.delta_inv, a.L, a.n_list),
     ),
     "disorder-dos": (
         "averaged density of states decay in n",
-        _DISORDER
+        [_DELTA_INV, _WINDOW_FRACTION]
+        + _DISORDER
         + [
             ("--samples", {"type": int, "default": 200}),
             ("--probe-n", _ints(1, 2, 3, 4)),
@@ -337,7 +358,8 @@ COMMANDS = {
     ),
     "area-law": (
         "averaged exponentiated entropy flatness",
-        _DISORDER
+        [_DELTA_INV, _WINDOW_FRACTION]
+        + _DISORDER
         + [
             ("--samples", {"type": int, "default": 100}),
             ("--alpha", {"type": float, "default": 1.0}),
@@ -364,6 +386,9 @@ COMMANDS = {
     "evolve-entropy": (
         "dynamic entropy under the log envelope",
         [
+            _DELTA_INV,
+            _SEED,
+            _WINDOW_FRACTION,
             ("--times", _floats(0.0, 1.0, 10.0, 100.0)),
             ("--states", {"type": int, "default": 5}),
             ("--block-sizes", {"type": int, "nargs": "+", "default": None}),
@@ -381,6 +406,8 @@ COMMANDS = {
     "verify-all": (
         "run every pipeline at desk scale",
         [
+            _DELTA_INV,
+            _SEED,
             ("--disorder-samples", {"type": int, "default": 60}),
             ("--area-samples", {"type": int, "default": 30}),
         ],

@@ -14,11 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .configspace import Config, Lattice, centered_cluster, enumerate_sector
+from .configspace import Config, Lattice, centered_cluster
 from .entanglement import centered_block, droplet_sup_entropy
 from .errors import DomainError
-from .hamiltonian import ModelParams, assemble_sector
-from .spectral import DropletWindow, droplet_projector, eigensolve
+from .hamiltonian import ModelParams
+from .spectral import DropletWindow, droplet_projector, local_dos
 
 DISTRIBUTIONS = ("uniform", "bernoulli", "constant")
 TREND_TOL = 0.05
@@ -148,12 +148,14 @@ def dos_decay_experiment(
 ) -> DosDecayResult:
     """Disorder average of the windowed local density of states per probe.
 
-    For each sample the probed sectors are solved with the drawn field for
-    their in-window eigenpairs; the fitted line of ln(mean) against the
-    particle number yields the decay rate with its standard error.  `window`
-    is the compact energy set of the averaged claim; it need not satisfy the
-    droplet-window constraint, and it should be wide enough that every
-    probe's mean is sampled.  A probe whose mean lies below the resolution
+    For each sample the window's projector on sectors up to the largest probe
+    is built with the drawn field (`droplet_projector`, which skips the
+    sectors its floors put above the window) and read at every probe
+    (`local_dos`); the fitted line of ln(mean) against the particle number
+    yields the decay rate with its standard error.  `window` is the compact
+    energy set of the averaged claim; it need not satisfy the droplet-window
+    constraint, and it should be wide enough that every probe's mean is
+    sampled.  A probe whose mean lies below the resolution
     floor 1/(2 samples), half the weight one sample can give, is unresolved
     by the samples drawn (its mean may be a rounding-level tail); it is left
     out of the fit and listed in `dropped_probes`.
@@ -162,14 +164,14 @@ def dos_decay_experiment(
         probes = {n: centered_cluster(lattice, n) for n in range(1, 5)}
     if not probes:
         raise DomainError("need at least one probe configuration")
-    ordinals = {n: enumerate_sector(lattice, n).index_of(tuple(x)) for n, x in probes.items()}
     values = {n: np.empty(spec.samples) for n in probes}
     for i in range(spec.samples):
         params = _field_params(template, lattice, draw_field(spec, i, lattice))
-        for n, ordinal in ordinals.items():
-            data = eigensolve(assemble_sector(params, enumerate_sector(lattice, n)), window.e_max)
-            row = data.eigenvectors[ordinal]
-            values[n][i] = float(row @ row)
+        projector = droplet_projector(
+            params, lattice, window, n_max=max(probes), override_window_check=True
+        )
+        for n, x in probes.items():
+            values[n][i] = local_dos(projector, x)
     ns = tuple(sorted(probes))
     means = tuple(float(values[n].mean()) for n in ns)
     stderrs = tuple(

@@ -72,7 +72,6 @@ class Table:
 
 @dataclass(frozen=True)
 class PipelineResult:
-    command: str
     table: Table
     verdicts: dict[str, bool]
     values: dict[str, float]
@@ -118,7 +117,6 @@ def spectrum_pipeline(
     else:
         notes.append(f"oracle comparison skipped: {lattice.size} sites exceed {oracle_max_sites}")
     return PipelineResult(
-        command="spectrum",
         table=Table(columns=("n", "index", "eigenvalue"), rows=tuple(rows)),
         verdicts=verdicts,
         values=values,
@@ -157,7 +155,6 @@ def thresholds_pipeline(
         rows.extend((f"draw{draw}", k, margins[k]) for k in ks)
     verdicts = {"threshold_margins_nonnegative": worst >= -MARGIN_TOL}
     return PipelineResult(
-        command="thresholds",
         table=Table(columns=("field", "k", "margin"), rows=tuple(rows)),
         verdicts=verdicts,
         values={"worst_margin": worst},
@@ -231,7 +228,6 @@ def ct_decay_pipeline(
         verdicts["fit_stable_across_sizes"] = stable
         values["worst_fit_change"] = worst_change
     return PipelineResult(
-        command="ct-decay",
         table=Table(
             columns=("L", "n", "energy", "prefactor", "rate", "max_violation", "points"),
             rows=tuple(rows),
@@ -278,7 +274,6 @@ def dos_bound_pipeline(
         "projector_rank": float(projector.rank),
     }
     return PipelineResult(
-        command="dos-bound",
         table=Table(columns=("n", "config", "distance", "local_dos"), rows=tuple(rows)),
         verdicts=verdicts,
         values=values,
@@ -288,10 +283,23 @@ def dos_bound_pipeline(
 def ising_entropy_pipeline(
     L: int, n_states: int = 500, seed: int = 0, witness_ns=(2, 3, 4)
 ) -> PipelineResult:
-    """Hartley bounds for cluster-supported states plus the saturation witness."""
+    """Hartley bounds for cluster-supported states plus the saturation witness.
+
+    The witness for n is the uniform superposition of the n-site clusters,
+    judged on the centred n-site block against the bound ln(2n + 1).  Each
+    placement of the cluster is a product state across the cut, so the
+    Schmidt rank is at most the 2L + 2 - n placements; coming within ln 2 of
+    the bound takes a rank of at least n + 1, so the witness needs n <= L.
+    """
     lattice = Lattice(L)
     if n_states < 1:
         raise DomainError(f"need at least one state, got n_states={n_states}")
+    too_large = [n for n in witness_ns if n > L]
+    if too_large:
+        raise DomainError(
+            f"witness sizes {too_large} exceed L={L}: an n-site cluster has fewer "
+            "than the n + 1 placements the witness needs"
+        )
     support = [()]
     for n in range(1, lattice.size + 1):
         support.extend(all_cluster_configs(lattice, n))
@@ -332,7 +340,6 @@ def ising_entropy_pipeline(
         "witness_saturates_bound": witness_ok,
     }
     return PipelineResult(
-        command="ising-entropy",
         table=Table(
             columns=("kind", "index", "block_lo", "block_hi", "entropy", "bound", "slack"),
             rows=tuple(rows),
@@ -399,7 +406,6 @@ def entropy_scan_pipeline(
     if scan.empty_sectors:
         notes = (f"window selection empty in sectors {list(scan.empty_sectors)}",)
     return PipelineResult(
-        command="entropy-scan",
         table=Table(
             columns=("block", "n", "alpha", "max_entropy", "states"), rows=tuple(rows)
         ),
@@ -422,7 +428,6 @@ def droplet_band_pipeline(delta_inv: float, L: int, n_list=(3, 4, 5, 6)) -> Pipe
         "gap_saturates_near_limit": trend.limit_reached,
     }
     return PipelineResult(
-        command="droplet-band",
         table=Table(
             columns=("n", "lowest_count", "band_center", "band_width", "gap", "deficit"),
             rows=rows,
@@ -479,7 +484,6 @@ def disorder_dos_pipeline(
             "support, decay verdicts skipped"
         )
     return PipelineResult(
-        command="disorder-dos",
         table=Table(columns=("n", "mean_dos", "stderr"), rows=tuple(rows)),
         verdicts=verdicts,
         values=values,
@@ -537,7 +541,6 @@ def area_law_pipeline(
         verdicts["deterministic_contrast_grows"] = zero.trend_slope > zero.trend_tol
         values["zero_disorder_slope"] = zero.trend_slope
     return PipelineResult(
-        command="area-law",
         table=Table(columns=("disorder", "block", "mean_exp_entropy", "stderr"), rows=tuple(rows)),
         verdicts=verdicts,
         values=values,
@@ -571,7 +574,6 @@ def sum_constants_pipeline(
         rows.append(("constant", mu, 0, 0, constant.value, constant.value, constant.tail_bound))
     verdicts = {"summability_bounds_hold": all_hold, "windows_stable": all_stable}
     return PipelineResult(
-        command="sum-constants",
         table=Table(
             columns=("check", "mu", "n", "b", "lhs", "bound", "delta"), rows=tuple(rows)
         ),
@@ -623,7 +625,6 @@ def evolve_entropy_pipeline(
                 bounded = bounded and s1 <= bound
     verdicts = {"dynamics_stay_below_envelope": bounded}
     return PipelineResult(
-        command="evolve-entropy",
         table=Table(
             columns=("state", "t", "block", "entropy", "envelope", "headroom"),
             rows=tuple(rows),
@@ -646,7 +647,12 @@ def verify_all_pipeline(
         ("thresholds", lambda: thresholds_pipeline(L, delta_inv, seed=seed)),
         ("ct-decay", lambda: ct_decay_pipeline(delta_inv, L, stability_L=L + 1)),
         ("dos-bound", lambda: dos_bound_pipeline(delta_inv, L)),
-        ("ising-entropy", lambda: ising_entropy_pipeline(L, n_states=200, seed=seed)),
+        (
+            "ising-entropy",
+            lambda: ising_entropy_pipeline(
+                L, n_states=200, seed=seed, witness_ns=range(2, min(L, 4) + 1)
+            ),
+        ),
         ("entropy-scan", lambda: entropy_scan_pipeline(delta_inv, L, seed=seed)),
         ("droplet-band", lambda: droplet_band_pipeline(delta_inv, max(L, 5))),
         (
@@ -686,7 +692,6 @@ def verify_all_pipeline(
             values[f"{name}.{key}"] = val
         notes.extend(f"{name}: {note}" for note in result.notes)
     return PipelineResult(
-        command="verify-all",
         table=Table(columns=("stage", "verdict", "passed"), rows=tuple(rows)),
         verdicts=verdicts,
         values=values,

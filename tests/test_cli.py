@@ -1,5 +1,6 @@
 """Harness behavior: records, caching, exit codes, determinism."""
 
+import argparse
 import functools
 import json
 import math
@@ -318,26 +319,37 @@ def test_run_without_verdicts_exits_nonzero_with_note(tmp_path, monkeypatch, cap
     assert run(args + ["--outdir", str(tmp_path / "b")]) == EXIT_NO_VERDICTS
 
 
-COMMON_DEFAULTS = {"L": 4, "delta_inv": 0.1, "seed": 0, "window_fraction": 0.9}
-DISORDER_DEFAULTS = {"dist": "uniform", "dist_a": 0.0, "dist_b": 2.0}
+COMMON_DEFAULTS = {"L": 4}
+DELTA_INV = {"delta_inv": 0.1}
+SEED = {"seed": 0}
+WINDOW = {"window_fraction": 0.9}
+DISORDER_DEFAULTS = {**SEED, "dist": "uniform", "dist_a": 0.0, "dist_b": 2.0}
 DEFAULT_OPTIONS = {
-    "spectrum": {"boundary_mode": "standard"},
-    "thresholds": {"field_draws": 3, "k": [1, 2, 3]},
-    "ct-decay": {"n": [2, 3], "stability_L": None},
-    "dos-bound": {},
-    "ising-entropy": {"states": 500, "witness_n": [2, 3, 4]},
-    "entropy-scan": {"alphas": [0.0, 0.5, 1.0, 2.0], "block_sizes": None, "n_random": 64},
-    "droplet-band": {"n_list": [3, 4, 5, 6]},
+    "spectrum": {**DELTA_INV, "boundary_mode": "standard"},
+    "thresholds": {**DELTA_INV, **SEED, "field_draws": 3, "k": [1, 2, 3]},
+    "ct-decay": {**DELTA_INV, **WINDOW, "n": [2, 3], "stability_L": None},
+    "dos-bound": {**DELTA_INV, **WINDOW},
+    "ising-entropy": {**SEED, "states": 500, "witness_n": [2, 3, 4]},
+    "entropy-scan": {
+        **DELTA_INV, **SEED, **WINDOW,
+        "alphas": [0.0, 0.5, 1.0, 2.0], "block_sizes": None, "n_random": 64,
+    },
+    "droplet-band": {**DELTA_INV, "n_list": [3, 4, 5, 6]},
     "disorder-dos": {
-        **DISORDER_DEFAULTS, "j_max": None, "probe_n": [1, 2, 3, 4], "samples": 200,
+        **DELTA_INV, **WINDOW, **DISORDER_DEFAULTS,
+        "j_max": None, "probe_n": [1, 2, 3, 4], "samples": 200,
     },
     "area-law": {
-        **DISORDER_DEFAULTS, "alpha": 1.0, "block_sizes": [2, 3, 4, 5], "contrast": True,
-        "epsilon": 0.5, "samples": 100,
+        **DELTA_INV, **WINDOW, **DISORDER_DEFAULTS,
+        "alpha": 1.0, "block_sizes": [2, 3, 4, 5], "contrast": True, "epsilon": 0.5,
+        "samples": 100,
     },
     "sum-constants": {"b": [2, 3, 4], "mu": [0.5, 1.0, 2.0], "n": [2, 3, 4]},
-    "evolve-entropy": {"block_sizes": None, "states": 5, "times": [0.0, 1.0, 10.0, 100.0]},
-    "verify-all": {"area_samples": 30, "disorder_samples": 60},
+    "evolve-entropy": {
+        **DELTA_INV, **SEED, **WINDOW,
+        "block_sizes": None, "states": 5, "times": [0.0, 1.0, 10.0, 100.0],
+    },
+    "verify-all": {**DELTA_INV, **SEED, "area_samples": 30, "disorder_samples": 60},
 }
 
 
@@ -358,11 +370,44 @@ def test_commands_look_up_their_pipeline_when_run(tmp_path, monkeypatch):
     def fake(*args, **kwargs):
         calls.append((args, kwargs))
         return pipelines.PipelineResult(
-            command="droplet-band", table=Table(columns=("n",), rows=((3,),)),
-            verdicts={"ok": True}, values={},
+            table=Table(columns=("n",), rows=((3,),)), verdicts={"ok": True}, values={}
         )
 
     monkeypatch.setattr(pipelines, "droplet_band_pipeline", fake)
     args = ["droplet-band", "--L", "2", "--n-list", "3", "4", "--no-cache"]
     assert run(args + ["--outdir", str(tmp_path)]) == 0
     assert calls == [((0.1, 2, [3, 4]), {})]
+
+
+class _ReadRecorder(argparse.Namespace):
+    """A parsed namespace that records the name of every attribute read from it."""
+
+    def __getattribute__(self, name):
+        if not name.startswith("_"):
+            object.__getattribute__(self, "_reads").add(name)
+        return object.__getattribute__(self, name)
+
+
+def test_every_parsed_option_is_read_by_its_command(monkeypatch):
+    # An option the call never reads would change the record and the cache
+    # key without changing the run.
+    def fake(*args, **kwargs):
+        return pipelines.PipelineResult(table=Table(columns=(), rows=()), verdicts={}, values={})
+
+    for name in dir(pipelines):
+        if name.endswith("_pipeline"):
+            monkeypatch.setattr(pipelines, name, fake)
+    parser = cli.build_parser()
+    for command, (_, _, call) in cli.COMMANDS.items():
+        args = parser.parse_args([command], namespace=_ReadRecorder(_reads=set()))
+        options = set(vars(args)) - {"_reads", "command", "outdir", "cache", "cache_dir"}
+        args._reads.clear()
+        call(args)
+        assert options - args._reads == set(), command
+
+
+def test_an_option_the_command_does_not_read_exits_one(tmp_path, capsys):
+    argv = ["verify-all", "--L", "4", "--area-samples", "2", "--window-fraction", "0.5"]
+    assert run(argv + ["--no-cache", "--outdir", str(tmp_path)]) == 1
+    assert "--window-fraction" in capsys.readouterr().err
+    assert not tmp_path.exists() or not list(tmp_path.iterdir())

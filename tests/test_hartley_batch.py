@@ -64,7 +64,7 @@ def _per_state_rows(L, n_states, seed):
 @pytest.mark.parametrize("seed", [0, 7])
 def test_pipeline_rows_equal_the_per_state_loop(L, seed):
     n_states = 40
-    result = ising_entropy_pipeline(L, n_states=n_states, seed=seed)
+    result = ising_entropy_pipeline(L, n_states=n_states, seed=seed, witness_ns=(2, 3))
     expected = _per_state_rows(L, n_states, seed)
     got = [row for row in result.table.rows if row[0] == "random"]
     assert got == expected

@@ -81,6 +81,21 @@ def test_ising_entropy_pipeline():
     assert kinds == {"random", "witness"}
 
 
+@pytest.mark.parametrize("L", [1, 2, 3, 4, 5])
+def test_ising_witness_holds_up_to_L_and_is_rejected_above(L):
+    # An n-site cluster has 2L + 2 - n placements, so the ln 2 saturation
+    # (Schmidt rank >= n + 1) is reachable exactly for n <= L.
+    result = ising_entropy_pipeline(L, n_states=1, witness_ns=range(1, L + 1))
+    assert result.verdicts["witness_saturates_bound"]
+    witness = [row for row in result.table.rows if row[0] == "witness"]
+    assert [row[1] for row in witness] == list(range(1, L + 1))
+    assert all(row[6] <= math.log(2.0) + 1e-12 for row in witness)
+    for n in range(L + 1, 2 * L + 2):
+        with pytest.raises(DomainError, match=f"witness sizes \\[{n}\\] exceed L={L}"):
+            # Named among valid sizes too.
+            ising_entropy_pipeline(L, n_states=1, witness_ns=(n,) if L < 2 else (2, n))
+
+
 def test_entropy_scan_pipeline():
     result = entropy_scan_pipeline(0.1, 3, block_sizes=(2, 3), alphas=(0.0, 1.0), seed=0, n_random=8)
     assert result.verdicts["alpha_monotonicity"]
