@@ -155,10 +155,10 @@ def dos_decay_experiment(
     yields the decay rate with its standard error.  `window` is the compact
     energy set of the averaged claim; it need not satisfy the droplet-window
     constraint, and it should be wide enough that every probe's mean is
-    sampled.  A probe whose mean lies below the resolution
-    floor 1/(2 samples), half the weight one sample can give, is unresolved
-    by the samples drawn (its mean may be a rounding-level tail); it is left
-    out of the fit and listed in `dropped_probes`.
+    sampled.  A probe whose mean lies below the resolution floor
+    1/(2 samples), half the weight one sample can give, is unresolved by the
+    samples drawn (its mean may be a rounding-level tail); it is left out of
+    the fit and listed in `dropped_probes`.
     """
     if probes is None:
         probes = {n: centered_cluster(lattice, n) for n in range(1, 5)}

@@ -105,9 +105,10 @@ def _matricized(
 
     `parts` maps a sector n to the (states, dim) amplitudes of every state in
     it; rows and columns are in `_split_indices`' order over the ascending
-    `row_sites`, and sectors fill disjoint entries.
+    `row_sites`, and sectors fill disjoint entries.  Without any sector the
+    result is one zero matrix, the zero vector's.
     """
-    states = len(next(iter(parts.values())))
+    states = max((len(amplitudes) for amplitudes in parts.values()), default=1)
     inside = len(row_sites)
     matrices = np.zeros(
         (states, 1 << inside, 1 << (lattice.size - inside)),

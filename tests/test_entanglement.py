@@ -193,9 +193,10 @@ def test_renyi_entropy_equals_the_per_state_formula(L, complex_amplitudes):
         for hi in range(lo, L + 1)
         if (lo, hi) != (-L, L)
     ]
-    for _ in range(4):
-        # Random support sizes, so that low ranks and zero Schmidt values occur.
-        support = [configs[i] for i in rng.choice(len(configs), rng.integers(1, 6), replace=False)]
+    # Full support, then small random supports, where low ranks and zero
+    # Schmidt values occur.
+    for size in (len(configs), *rng.integers(1, 6, size=3)):
+        support = [configs[i] for i in rng.choice(len(configs), size, replace=False)]
         psi = random_state_on_configs(lat, support, rng, complex_amplitudes=complex_amplitudes)
         for part in blocks:
             m = matricize(psi, part)
