@@ -37,8 +37,10 @@ def droplet_spectrum_report(delta_inv: float, lattice: Lattice, n: int) -> Dropl
     if not 1 <= n <= lattice.size:
         raise DomainError(f"sector n={n} outside [1, {lattice.size}]")
     params = ModelParams(delta_inv=delta_inv, boundary_mode="droplet")
-    data = eigensolve(assemble_sector(params, enumerate_sector(lattice, n)))
     count = lattice.size - n + 1
+    basis = enumerate_sector(lattice, n)
+    # The band and the eigenvalue above it, where there is one.
+    data = eigensolve(assemble_sector(params, basis), lowest=min(count + 1, len(basis)))
     center = math.sqrt(1.0 - delta_inv**2)
     band = data.eigenvalues[:count]
     width = float(max(abs(band - center)))

@@ -27,10 +27,9 @@ from .errors import DomainError, ResourceError
 BOUNDARY_MODES = ("standard", "droplet")
 
 _FULL_ORACLE_MAX_SITES = 14
-# Sectors above this dimension are solved by Lanczos (`spectral.eigensolve`)
-# from a sparse assembly, and their templates are rebuilt on every call
-# instead of cached.
-LANCZOS_MIN_DIM = 1000
+# Templates of sectors up to this dimension are cached; larger ones, which
+# only the clean chain's Lanczos solves reach, are rebuilt on every call.
+TEMPLATE_CACHE_MAX_DIM = 1000
 
 
 @dataclass(frozen=True)
@@ -138,12 +137,12 @@ _template_cache: dict[tuple[int, int], _SectorTemplate] = {}
 
 
 def _sector_template(basis: SectorBasis) -> _SectorTemplate:
-    """The basis's template, cached per (L, n) up to LANCZOS_MIN_DIM and rebuilt above it."""
+    """The basis's template, cached per (L, n) up to TEMPLATE_CACHE_MAX_DIM and rebuilt above it."""
     key = (basis.lattice.L, basis.n)
     template = _template_cache.get(key)
     if template is None:
         template = _build_template(basis)
-        if len(basis) <= LANCZOS_MIN_DIM:
+        if len(basis) <= TEMPLATE_CACHE_MAX_DIM:
             _template_cache[key] = template
     return template
 
@@ -210,38 +209,56 @@ def assemble_full_oracle(params: ModelParams, lattice: Lattice) -> np.ndarray:
     """Full 2^|lattice| matrix built literally from the spin couplings.
 
     Independent of the sector path: spin-1/2 matrices with eigenvalues +-1/2
-    are lifted by Kronecker products, bond by bond.  Intended for cross-checks
-    at small sizes only.
+    are lifted by sparse Kronecker products and added up bond by bond; the sum
+    is made dense once at the end.  Intended for cross-checks at small sizes
+    only.
     """
+    import scipy.sparse  # imported here: only the oracle and the Lanczos path need it
+
     N = lattice.size
     if N > _FULL_ORACLE_MAX_SITES:
         raise ResourceError(
             f"full oracle limited to {_FULL_ORACLE_MAX_SITES} sites, got {N}"
         )
-    s1 = np.array([[0.0, 0.5], [0.5, 0.0]], dtype=complex)
-    s2 = np.array([[0.0, -0.5j], [0.5j, 0.0]], dtype=complex)
-    s3 = np.array([[0.5, 0.0], [0.0, -0.5]], dtype=complex)
-    eye = np.eye(2, dtype=complex)
+    s1 = scipy.sparse.csr_array(np.array([[0.0, 0.5], [0.5, 0.0]], dtype=complex))
+    s2 = scipy.sparse.csr_array(np.array([[0.0, -0.5j], [0.5j, 0.0]], dtype=complex))
+    s3 = scipy.sparse.csr_array(np.array([[0.5, 0.0], [0.0, -0.5]], dtype=complex))
 
-    def lifted(ops: dict[int, np.ndarray]) -> np.ndarray:
-        factors = [ops.get(s, eye) for s in lattice.sites]
-        return reduce(np.kron, factors)
+    def identity(sites: int) -> scipy.sparse.csr_array:
+        return scipy.sparse.eye_array(1 << sites, dtype=complex, format="csr")
+
+    def lifted(ops: dict[int, scipy.sparse.csr_array]) -> scipy.sparse.csr_array:
+        # A run of identity factors is lifted as one identity of its size.
+        factors, run = [], 0
+        for s in lattice.sites:
+            if s not in ops:
+                run += 1
+                continue
+            if run:
+                factors.append(identity(run))
+            factors.append(ops[s])
+            run = 0
+        if run:
+            factors.append(identity(run))
+        return reduce(lambda a, b: scipy.sparse.kron(a, b, format="csr"), factors)
 
     dim = 1 << N
-    H = np.zeros((dim, dim), dtype=complex)
+    eye = identity(N)
+    H = scipy.sparse.csr_array((dim, dim), dtype=complex)
     for x in range(-lattice.L, lattice.L):
         H -= params.delta_inv * lifted({x: s1, x + 1: s1})
         H -= params.delta_inv * lifted({x: s2, x + 1: s2})
-        H -= lifted({x: s3, x + 1: s3}) - 0.25 * np.eye(dim)
+        H -= lifted({x: s3, x + 1: s3}) - 0.25 * eye
     beta = params.beta
-    H += beta * (np.eye(dim) - lifted({-lattice.L: s3}) - lifted({lattice.L: s3}))
+    H += beta * (eye - lifted({-lattice.L: s3}) - lifted({lattice.L: s3}))
     for x in lattice.sites:
         b = params.field_value(x)
         if b:
-            H += b * (0.5 * np.eye(dim) - lifted({x: s3}))
-    if np.abs(H.imag).max() > 1e-12:
+            H += b * (0.5 * eye - lifted({x: s3}))
+    full = H.toarray()
+    if np.abs(full.imag).max() > 1e-12:
         raise AssertionError("oracle matrix acquired an imaginary part")
-    return H.real
+    return full.real
 
 
 def oracle_sector_block(full: np.ndarray, lattice: Lattice, basis: SectorBasis) -> np.ndarray:

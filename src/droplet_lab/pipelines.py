@@ -290,6 +290,7 @@ def ising_entropy_pipeline(
     placement of the cluster is a product state across the cut, so the
     Schmidt rank is at most the 2L + 2 - n placements; coming within ln 2 of
     the bound takes a rank of at least n + 1, so the witness needs n <= L.
+    With no witness size the saturation verdict is left out, with a note.
     """
     lattice = Lattice(L)
     if n_states < 1:
@@ -335,10 +336,12 @@ def ising_entropy_pipeline(
         gap = bound - achieved
         witness_ok = witness_ok and gap <= math.log(2.0) + 1e-12
         rows.append(("witness", n, part.lo, part.hi, achieved, bound, gap))
-    verdicts = {
-        "hartley_bounds_hold": all_hold,
-        "witness_saturates_bound": witness_ok,
-    }
+    verdicts = {"hartley_bounds_hold": all_hold}
+    notes = ()
+    if witness_ns:
+        verdicts["witness_saturates_bound"] = witness_ok
+    else:
+        notes = ("no witness size given: saturation verdict skipped",)
     return PipelineResult(
         table=Table(
             columns=("kind", "index", "block_lo", "block_hi", "entropy", "bound", "slack"),
@@ -346,6 +349,7 @@ def ising_entropy_pipeline(
         ),
         verdicts=verdicts,
         values={"min_slack": min_slack},
+        notes=notes,
     )
 
 

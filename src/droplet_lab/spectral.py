@@ -1,8 +1,8 @@
 """Eigendecompositions, spectral windows, restricted resolvents, dynamics.
 
 Everything here works per particle-number sector: symmetric eigensolves
-(full and dense, or only for the eigenpairs inside an energy window, by
-Lanczos for large sectors), the
+(full and dense, of the lowest few eigenpairs, or of only the eigenpairs
+inside an energy window, by one Lanczos call for large sectors), the
 lower-threshold checks for multi-cluster restrictions, the spectral floors
 and the Feshbach floors of in-window eigenvalues that let a window skip
 whole sectors, the low-energy spectral projector and
@@ -10,6 +10,12 @@ its diagonal (the local density of states), the positive-definite restricted
 Green's function, and phase evolution of amplitude maps.  Exponential-decay
 claims are reduced to least-squares fits on the log scale so they become
 falsifiable numbers.
+
+The Lanczos call of a window is sized by a count: if c rows of a sector have
+a Gershgorin disc reaching down to the window edge, at most c eigenvalues lie
+at or below it.  The block on the other rows has all its discs above the
+edge, so all its eigenvalues too, and by min-max the sector's (c + 1)-th
+eigenvalue is at least that block's lowest.
 """
 
 from __future__ import annotations
@@ -24,7 +30,6 @@ import scipy.linalg
 from .configspace import Config, Lattice, enumerate_sector
 from .errors import DomainError, NumericError, ResourceError, VerificationError
 from .hamiltonian import (
-    LANCZOS_MIN_DIM,
     ModelParams,
     SectorMatrix,
     assemble_sector,
@@ -42,10 +47,12 @@ EIG_TOL = 1e-10
 SECTOR_DIM_CAP = 15_000
 LANCZOS_DIM_CAP = 250_000
 # Windowed solves of sectors above LANCZOS_MIN_DIM use implicitly restarted
-# Lanczos (ARPACK through scipy.sparse.linalg.eigsh), starting at
-# LANCZOS_START_K eigenpairs; smaller sectors, and every full solve, stay
-# dense.
-LANCZOS_START_K = 8
+# Lanczos (ARPACK through scipy.sparse.linalg.eigsh), one call sized by the
+# Gershgorin count (`_window_count`); smaller sectors, and every full solve,
+# stay dense.  On the field-free chain with one BLAS thread, sparse assembly
+# and one call take 6.2 ms at dim 286 against 4.9 ms for the dense windowed
+# solve, and 5.0 against 6.1 ms at dim 330 (11 against 37 ms at dim 715).
+LANCZOS_MIN_DIM = 300
 EDGE_TIE_TOL = 1e-12
 # The windowed solve asks LAPACK for a slightly wider interval than the
 # closed window and then applies the window's own mask, so an eigenvalue on
@@ -105,80 +112,120 @@ def _require_dim(dim: int, cap: int, solver: str) -> None:
         )
 
 
-def _lanczos_window(entries, lo: float, hi: float):
-    """In-window eigenpairs of a large sector by Lanczos, or None.
+def _window_count(entries, row_sums: np.ndarray, hi: float) -> int:
+    """Rows whose Gershgorin disc reaches down to `hi`: H_xx - sum_{y != x} |H_xy| <= hi.
 
-    Asks for the k smallest eigenpairs and doubles k until the largest one
-    returned lies above the padded window edge, so every in-window eigenvalue
-    is among them.  Returns None when k would reach dim - 1, where ARPACK
-    stops and the dense solve is the cheaper one anyway.  The start vector
-    is seeded by the dimension alone: ARPACK's own start depends on earlier
+    At most this many eigenvalues lie at or below `hi` (the module docstring
+    gives the proof).  `row_sums` are the sums of |H_xy| over each row.
+    """
+    diagonal = entries.diagonal()
+    return int(np.count_nonzero(diagonal - (row_sums - np.abs(diagonal)) <= hi))
+
+
+def _lanczos_window(entries, lo: float, hi: float, count: int):
+    """In-window eigenpairs of a large sector by one Lanczos call, or None.
+
+    `count` bounds the eigenvalues at or below `hi` (`_window_count`), so the
+    count + 1 smallest eigenpairs hold the whole window; if the largest of
+    them lies inside it, the count was wrong and NumericError is raised.  A
+    window of `count` pairs is complete by the bound.  A shorter one may
+    also lack copies of a degenerate eigenvalue, since a Krylov space holds
+    one vector per eigenspace (the diagonal chain at delta_inv = 0 shows
+    it).  A copy would sit at an eigenvalue the call found, so an empty
+    window is complete too; any other short window returns None, as does a
+    count + 1 that reaches dim - 1, where ARPACK stops.  The start vector is
+    seeded by the dimension alone: ARPACK's own start depends on earlier
     calls, and a reflection-symmetric start (such as all ones) would keep the
     Krylov space inside one parity sector of the field-free chain.
     """
     import scipy.sparse.linalg  # imported here: only large sectors need it
 
     dim = entries.shape[0]
+    k = count + 1
+    if k >= dim - 1:
+        return None
     start = np.random.default_rng(dim).standard_normal(dim)
-    k = LANCZOS_START_K
-    while k < dim - 1:
-        try:
-            w, v = scipy.sparse.linalg.eigsh(
-                entries, k=k, which="SA", v0=start, ncv=min(dim, 3 * k)
-            )
-        except scipy.sparse.linalg.ArpackError as exc:  # pragma: no cover
-            raise NumericError(f"Lanczos eigensolve failed: {exc}") from exc
-        order = np.argsort(w)
-        w, v = w[order], v[:, order]
-        if w[-1] > hi + WINDOW_PAD:
-            keep = (w >= lo) & (w <= hi)
-            return w[keep], v[:, keep]
-        k *= 2
-    return None
+    try:
+        w, v = scipy.sparse.linalg.eigsh(
+            entries, k=k, which="SA", v0=start, ncv=min(dim, max(3 * k, 20))
+        )
+    except scipy.sparse.linalg.ArpackError as exc:  # pragma: no cover
+        raise NumericError(f"Lanczos eigensolve failed: {exc}") from exc
+    order = np.argsort(w)
+    w, v = w[order], v[:, order]
+    if w[-1] <= hi:
+        raise NumericError(
+            f"Lanczos window count {count} is too low: eigenvalue {count + 1} "
+            f"({w[-1]!r}) lies inside the window edge {hi!r}"
+        )
+    inside = w <= hi
+    if 0 < np.count_nonzero(inside) < count:
+        return None
+    keep = inside & (w >= lo)
+    return w[keep], v[:, keep]
 
 
-def eigensolve(matrix: SectorMatrix, e_max: float | None = None) -> SpectralData:
+def eigensolve(
+    matrix: SectorMatrix, e_max: float | None = None, lowest: int | None = None
+) -> SpectralData:
     """Symmetric eigendecomposition, validated against EIG_TOL.
 
     With `e_max` only the eigenpairs in the closed window
-    [-EDGE_TIE_TOL, e_max + EDGE_TIE_TOL] are computed and returned: by
-    Lanczos (`_lanczos_window`) for sectors above LANCZOS_MIN_DIM, by LAPACK
-    otherwise.  Full solves are dense.  `matrix.entries` may be dense or a
-    sparse array; a dense solve densifies a sparse one.
+    [-EDGE_TIE_TOL, e_max + EDGE_TIE_TOL] are computed and returned: by one
+    Lanczos call (`_lanczos_window`) for sectors above LANCZOS_MIN_DIM, by
+    LAPACK otherwise.  The Lanczos call asks for c + 1 eigenpairs, where c
+    counts the rows whose Gershgorin disc reaches the window edge
+    (`_window_count`): the discs of the other rows lie above the edge, so the
+    block on those rows has every eigenvalue above it, and by min-max at most
+    c eigenvalues of the sector lie in the window.  A Lanczos window holding
+    some but fewer than c eigenpairs may lack copies of a degenerate
+    eigenvalue, and the sector is solved densely instead.  With `lowest` only
+    the `lowest` smallest eigenpairs are computed, by LAPACK.  Full solves are
+    dense.  `matrix.entries` may be dense or a sparse array; a dense solve
+    densifies a sparse one.
     Columns come back sign-canonical, so the full and the windowed solve give
     the same vector for a non-degenerate eigenvalue.  Up to _VALIDATE_FULL_DIM
     columns are validated in full; above it the residual and orthonormality
     checks run on a deterministic column subset so validation stays cheaper
     than the solve itself.
     """
+    if e_max is not None and lowest is not None:
+        raise DomainError("ask for a window or for the lowest eigenpairs, not both")
+    if lowest is not None and not 1 <= lowest <= matrix.dim:
+        raise DomainError(f"lowest must lie in [1, {matrix.dim}], got {lowest}")
     dim = matrix.dim
     entries = matrix.entries
+    # Sums of |H_xy| over each row: the Gershgorin count of a Lanczos window
+    # and the residual scale below.
+    row_sums = abs(entries).sum(axis=1)
     lo = -EDGE_TIE_TOL
+    hi = None if e_max is None else e_max + EDGE_TIE_TOL
     found = None
-    if e_max is not None and dim > LANCZOS_MIN_DIM:
+    if hi is not None and dim > LANCZOS_MIN_DIM:
         _require_dim(dim, LANCZOS_DIM_CAP, "Lanczos")
-        found = _lanczos_window(entries, lo, e_max + EDGE_TIE_TOL)
+        found = _lanczos_window(entries, lo, hi, _window_count(entries, row_sums, hi))
     if found is not None:
         w, v = found
     else:
         _require_dim(dim, SECTOR_DIM_CAP, "dense")
         dense = entries if isinstance(entries, np.ndarray) else entries.toarray()
         try:
-            if e_max is None:
-                w, v = scipy.linalg.eigh(dense)
-            else:
-                hi = e_max + EDGE_TIE_TOL
+            if hi is not None:
                 w, v = scipy.linalg.eigh(
                     dense, subset_by_value=(lo - WINDOW_PAD, hi + WINDOW_PAD)
                 )
                 keep = (w >= lo) & (w <= hi)
                 w, v = w[keep], v[:, keep]
+            elif lowest is not None:
+                w, v = scipy.linalg.eigh(dense, subset_by_index=(0, lowest - 1))
+            else:
+                w, v = scipy.linalg.eigh(dense)
         except scipy.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails
             raise NumericError(f"eigensolve failed to converge: {exc}") from exc
     v = _canonical_signs(v)
     # Row-sum norm: an upper bound on the spectral norm that a windowed solve
     # cannot read off its own eigenvalues.
-    scale = max(1.0, float(abs(entries).sum(axis=1).max(initial=0.0)))
+    scale = max(1.0, float(row_sums.max(initial=0.0)))
     count = len(w)
     if count:
         if count <= _VALIDATE_FULL_DIM:

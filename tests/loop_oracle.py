@@ -12,6 +12,7 @@ oracle the fast paths must reproduce byte for byte.
 
 import itertools
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -175,3 +176,30 @@ def renyi_from_spectrum(matrix: np.ndarray, alpha: float, rank_tol: float = 1e-1
     if alpha == 1:
         return max(float(-np.sum(positive * np.log(positive))), 0.0), rank
     return max(float(np.log(np.sum(positive**alpha)) / (1.0 - alpha)), 0.0), rank
+
+
+def assemble_full_oracle_dense(params: ModelParams, lattice: Lattice) -> np.ndarray:
+    """`hamiltonian.assemble_full_oracle` with dense Kronecker products throughout."""
+    s1 = np.array([[0.0, 0.5], [0.5, 0.0]], dtype=complex)
+    s2 = np.array([[0.0, -0.5j], [0.5j, 0.0]], dtype=complex)
+    s3 = np.array([[0.5, 0.0], [0.0, -0.5]], dtype=complex)
+    eye = np.eye(2, dtype=complex)
+
+    def lifted(ops: dict[int, np.ndarray]) -> np.ndarray:
+        factors = [ops.get(s, eye) for s in lattice.sites]
+        return reduce(np.kron, factors)
+
+    dim = 1 << lattice.size
+    H = np.zeros((dim, dim), dtype=complex)
+    for x in range(-lattice.L, lattice.L):
+        H -= params.delta_inv * lifted({x: s1, x + 1: s1})
+        H -= params.delta_inv * lifted({x: s2, x + 1: s2})
+        H -= lifted({x: s3, x + 1: s3}) - 0.25 * np.eye(dim)
+    beta = params.beta
+    H += beta * (np.eye(dim) - lifted({-lattice.L: s3}) - lifted({lattice.L: s3}))
+    for x in lattice.sites:
+        b = params.field_value(x)
+        if b:
+            H += b * (0.5 * np.eye(dim) - lifted({x: s3}))
+    assert np.abs(H.imag).max() <= 1e-12
+    return H.real

@@ -2,11 +2,12 @@
 
 import numpy as np
 import pytest
-from loop_oracle import cluster_decompose, diagonal_energy, field_diagonal
+from loop_oracle import assemble_full_oracle_dense, cluster_decompose, diagonal_energy, field_diagonal
 
 from droplet_lab.configspace import Lattice, enumerate_sector
 from droplet_lab.errors import DomainError, ResourceError
 from droplet_lab.hamiltonian import (
+    BOUNDARY_MODES,
     ModelParams,
     assemble_full_oracle,
     assemble_sector,
@@ -144,6 +145,21 @@ def magnetization_diagonal(lattice):
         downs = bin(state).count("1")
         diag[state] = 0.5 * (N - downs) - 0.5 * downs
     return diag
+
+
+@pytest.mark.parametrize("mode", BOUNDARY_MODES)
+@pytest.mark.parametrize("L", [1, 2, 3, 4])
+def test_sparse_oracle_equals_the_dense_kronecker_build(L, mode):
+    lattice = Lattice(L)
+    rng = np.random.default_rng(L)
+    for delta_inv, field in (
+        (0.1, None),
+        (0.37, dict(zip(lattice.sites, rng.uniform(0.0, 2.0, lattice.size)))),
+    ):
+        params = ModelParams(delta_inv, mode, field)
+        assert np.array_equal(
+            assemble_full_oracle(params, lattice), assemble_full_oracle_dense(params, lattice)
+        )
 
 
 def test_oracle_commutes_with_magnetization():

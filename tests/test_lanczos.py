@@ -2,14 +2,20 @@
 
 `assemble_sector_sparse` must reproduce `assemble_sector` entry for entry,
 and both must match the tensor-product oracle.  `eigensolve` solves windows
-of sectors above LANCZOS_MIN_DIM with Lanczos; these tests compare that solve
-with the dense windowed `eigh` it replaces, on the field-free chain (whose
-edge pairs are degenerate to rounding) and on seeded fields.
+of sectors above LANCZOS_MIN_DIM with one Lanczos call for c + 1 eigenpairs,
+c being the rows whose Gershgorin disc reaches the window edge
+(`_window_count`).  These tests check that c bounds the window, compare the
+solve with the dense windowed `eigh` it replaces, on the field-free chain
+(whose edge pairs are degenerate to rounding) and on seeded fields, and
+check that a count too low raises instead of dropping an eigenpair.
 """
+
+import functools
 
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -30,6 +36,7 @@ from droplet_lab.spectral import (
     LANCZOS_MIN_DIM,
     WINDOW_PAD,
     _lanczos_window,
+    _window_count,
     auto_window,
     droplet_projector,
     eigensolve,
@@ -70,28 +77,72 @@ def _dense_window(entries, lo, hi):
     return w[keep], v[:, keep]
 
 
+def _count(entries, hi):
+    return _window_count(entries, abs(entries).sum(axis=1), hi)
+
+
+@functools.cache
+def _clean_projector(L):
+    lattice, params = _params(L, None)
+    return droplet_projector(params, lattice, auto_window(params))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    L=st.integers(1, 4),
+    delta_inv=st.floats(0.0, 0.3),
+    mode=st.sampled_from(BOUNDARY_MODES),
+    values=st.one_of(st.none(), st.lists(st.floats(0.0, 3.0), min_size=9, max_size=9)),
+    widened=st.booleans(),
+)
+def test_window_count_bounds_the_eigenvalues_in_the_window(L, delta_inv, mode, values, widened):
+    # The droplet window, or `disorder-dos`'s window widened by twice the
+    # mean of a uniform field on [0, 2].
+    lattice = Lattice(L)
+    field = None if values is None else dict(zip(lattice.sites, values))
+    params = ModelParams(delta_inv, mode, field)
+    hi = auto_window(params).e_max + (2.0 if widened else 0.0) + EDGE_TIE_TOL
+    for n in range(lattice.size + 1):
+        basis = enumerate_sector(lattice, n)
+        dense = assemble_sector(params, basis).entries
+        inside = int(np.count_nonzero(np.linalg.eigvalsh(dense) <= hi))
+        assert _count(dense, hi) >= inside, n
+        assert _count(assemble_sector_sparse(params, basis).entries, hi) == _count(dense, hi)
+
+
+@pytest.mark.parametrize("L", [4, 5, 6, 7])
+def test_window_count_is_the_window_rank_on_the_clean_chain(L):
+    # Only the N - n + 1 single clusters of sector n have a disc reaching the edge.
+    lattice, params = _params(L, None)
+    projector = _clean_projector(L)
+    hi = projector.window.e_max + EDGE_TIE_TOL
+    for n in range(lattice.size + 1):
+        entries = assemble_sector_sparse(params, enumerate_sector(lattice, n)).entries
+        rank = len(projector.selections[n].eigenvalues)
+        assert _count(entries, hi) == rank == (lattice.size - n + 1 if n else 1), n
+
+
 @pytest.mark.parametrize("L,seed", [(5, None), (5, 0), (5, 1), (6, None), (6, 0)])
 def test_lanczos_window_matches_dense_window(L, seed):
-    # Called directly on every sector with room for k = 8, far below
-    # LANCZOS_MIN_DIM too, so the small sectors exercise the doubling of k.
+    # Called directly on every sector with room for the count, far below
+    # LANCZOS_MIN_DIM too.
     lattice, params = _params(L, seed)
     lo, hi = -EDGE_TIE_TOL, auto_window(params).e_max + EDGE_TIE_TOL
     solved = 0
     for n in range(lattice.size + 1):
         basis = enumerate_sector(lattice, n)
-        if len(basis) <= 2 * spectral.LANCZOS_START_K:
-            continue
-        found = _lanczos_window(assemble_sector_sparse(params, basis).entries, lo, hi)
-        w, v = _dense_window(assemble_sector(params, basis).entries, lo, hi)
+        entries = assemble_sector_sparse(params, basis).entries
+        found = _lanczos_window(entries, lo, hi, _count(entries, hi))
         if found is None:
             continue
         solved += 1
+        w, v = _dense_window(assemble_sector(params, basis).entries, lo, hi)
         w_l, v_l = found
         assert len(w_l) == len(w), n
         if len(w):
             assert np.abs(w_l - w).max() <= 1e-12
             assert np.abs(v_l @ v_l.T - v @ v.T).max() <= 1e-10
-    assert solved >= lattice.size - 4
+    assert solved >= lattice.size - 2
 
 
 @settings(max_examples=25, deadline=None)
@@ -109,7 +160,8 @@ def test_lanczos_window_matches_dense_eigvalsh(L, delta_inv, values):
     solved = 0
     for n in range(lattice.size + 1):
         basis = enumerate_sector(lattice, n)
-        found = _lanczos_window(assemble_sector_sparse(params, basis).entries, lo, hi)
+        entries = assemble_sector_sparse(params, basis).entries
+        found = _lanczos_window(entries, lo, hi, _count(entries, hi))
         if found is None:
             continue
         solved += 1
@@ -119,6 +171,35 @@ def test_lanczos_window_matches_dense_eigvalsh(L, delta_inv, values):
         if len(w):
             assert np.abs(found[0] - w).max() <= 1e-12, n
     assert solved >= 1
+
+
+@pytest.mark.parametrize("L", [6, 7])
+def test_one_lanczos_call_per_large_sector_of_the_clean_chain(L, monkeypatch):
+    lattice, params = _params(L, None)
+    dims = [len(enumerate_sector(lattice, n)) for n in range(lattice.size + 1)]
+    calls = []
+    eigsh = scipy.sparse.linalg.eigsh
+
+    def counting(entries, **kwargs):
+        calls.append(entries.shape[0])
+        return eigsh(entries, **kwargs)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", counting)
+    projector = droplet_projector(params, lattice, auto_window(params))
+    assert sorted(calls) == sorted(d for d in dims if d > LANCZOS_MIN_DIM)
+    assert projector.rank == {6: 92, 7: 121}[L]
+
+
+def test_a_count_one_too_low_raises(monkeypatch):
+    lattice, params = _params(6, None)
+    matrix = assemble_sector_sparse(params, enumerate_sector(lattice, 6))
+    e_max = auto_window(params).e_max
+    assert matrix.dim > LANCZOS_MIN_DIM
+    assert len(eigensolve(matrix, e_max).eigenvalues) == _count(matrix.entries, e_max) == 8
+    count = spectral._window_count
+    monkeypatch.setattr(spectral, "_window_count", lambda *args: count(*args) - 1)
+    with pytest.raises(NumericError, match="count 7 is too low"):
+        eigensolve(matrix, e_max)
 
 
 def test_clean_chain_projector_at_L6_matches_dense(monkeypatch):
@@ -170,10 +251,10 @@ def test_sparse_matrix_full_solve_is_the_dense_solve():
 
 
 def test_window_holding_the_spectrum_falls_back_to_dense(monkeypatch):
-    # A window holding nearly the whole spectrum: k would reach dim - 1.
+    # A window holding nearly the whole spectrum: count + 1 would reach dim - 1.
     lattice, params = _params(3, 0)
     matrix = assemble_sector_sparse(params, enumerate_sector(lattice, 3))
-    assert _lanczos_window(matrix.entries, -EDGE_TIE_TOL, 100.0) is None
+    assert _lanczos_window(matrix.entries, -EDGE_TIE_TOL, 100.0, _count(matrix.entries, 100.0)) is None
     reference = eigensolve(assemble_sector(params, enumerate_sector(lattice, 3)), 100.0)
     monkeypatch.setattr(spectral, "LANCZOS_MIN_DIM", 2)
     data = eigensolve(matrix, 100.0)
@@ -181,13 +262,49 @@ def test_window_holding_the_spectrum_falls_back_to_dense(monkeypatch):
     assert np.array_equal(data.eigenvectors, reference.eigenvectors)
 
 
+def test_a_window_short_of_the_count_is_solved_densely(monkeypatch):
+    # At delta_inv = 0 the sector is diagonal and its window eigenvalue 1 is
+    # six-fold; the Krylov space misses copies of it, so the window found
+    # holds fewer pairs than the count and is not used.
+    lattice = Lattice(4)
+    params = ModelParams(0.0)
+    e_max = auto_window(params).e_max
+    basis = enumerate_sector(lattice, 4)
+    matrix = assemble_sector_sparse(params, basis)
+    hi = e_max + EDGE_TIE_TOL
+    assert _count(matrix.entries, hi) == 6
+    assert _lanczos_window(matrix.entries, -EDGE_TIE_TOL, hi, 6) is None
+    reference = eigensolve(assemble_sector(params, basis), e_max)
+    monkeypatch.setattr(spectral, "LANCZOS_MIN_DIM", 2)
+    data = eigensolve(matrix, e_max)
+    assert len(data.eigenvalues) == 6
+    assert np.array_equal(data.eigenvalues, reference.eigenvalues)
+    assert np.array_equal(data.eigenvectors, reference.eigenvectors)
+
+
+def test_an_empty_window_under_a_loose_count_stays_lanczos():
+    # Sample 0 of program seed 952065 at L=6: one row of sector n=4 has a
+    # disc reaching the edge, but no eigenvalue lies in the window.
+    lattice = Lattice(6)
+    values = draw_field(DisorderSpec.uniform(0.0, 2.0, 2, 952065), 0, lattice)
+    params = ModelParams(0.1, field={s: float(values[s + 6]) for s in lattice.sites})
+    e_max = auto_window(params).e_max
+    basis = enumerate_sector(lattice, 4)
+    matrix = assemble_sector_sparse(params, basis)
+    hi = e_max + EDGE_TIE_TOL
+    assert _count(matrix.entries, hi) == 1
+    w, v = _lanczos_window(matrix.entries, -EDGE_TIE_TOL, hi, 1)
+    assert w.shape == (0,) and v.shape == (len(basis), 0)
+    assert len(_dense_window(assemble_sector(params, basis).entries, -EDGE_TIE_TOL, hi)[0]) == 0
+
+
 def test_corrupted_lanczos_eigenpair_raises(monkeypatch):
     lattice, params = _params(6, None)
     matrix = assemble_sector_sparse(params, enumerate_sector(lattice, 6))
     solve = spectral._lanczos_window
 
-    def corrupted(entries, lo, hi):
-        w, v = solve(entries, lo, hi)
+    def corrupted(*args):
+        w, v = solve(*args)
         v = v.copy()
         v[:, 0] = np.roll(v[:, 0], 1)
         return w, v

@@ -81,6 +81,14 @@ def test_ising_entropy_pipeline():
     assert kinds == {"random", "witness"}
 
 
+def test_ising_entropy_without_a_witness_leaves_its_verdict_out():
+    result = ising_entropy_pipeline(2, n_states=1, witness_ns=())
+    assert result.verdicts == {"hartley_bounds_hold": True}
+    assert result.notes == ("no witness size given: saturation verdict skipped",)
+    assert {row[0] for row in result.table.rows} == {"random"}
+    assert ising_entropy_pipeline(2, n_states=1, witness_ns=range(2, 2)).verdicts == result.verdicts
+
+
 @pytest.mark.parametrize("L", [1, 2, 3, 4, 5])
 def test_ising_witness_holds_up_to_L_and_is_rejected_above(L):
     # An n-site cluster has 2L + 2 - n placements, so the ln 2 saturation
@@ -168,16 +176,17 @@ def test_evolve_entropy_pipeline():
 
 
 def _count_eigensolves(monkeypatch):
-    """Patch `eigensolve` in every package namespace; return the (full, windowed) tally."""
+    """Patch `eigensolve` in every package namespace; return the (full, windowed, lowest) tally."""
     import droplet_lab
     from droplet_lab import spectral
 
     original = spectral.eigensolve
-    tally = {"full": 0, "windowed": 0}
+    tally = {"full": 0, "windowed": 0, "lowest": 0}
 
-    def counting(matrix, e_max=None):
-        tally["full" if e_max is None else "windowed"] += 1
-        return original(matrix, e_max)
+    def counting(matrix, e_max=None, lowest=None):
+        kind = "windowed" if e_max is not None else "lowest" if lowest is not None else "full"
+        tally[kind] += 1
+        return original(matrix, e_max, lowest)
 
     modules = [droplet_lab] + [
         importlib.import_module(f"droplet_lab.{info.name}")
@@ -193,7 +202,7 @@ def _count_eigensolves(monkeypatch):
 def test_droplet_band_solves_each_sector_once(monkeypatch):
     tally = _count_eigensolves(monkeypatch)
     result = droplet_band_pipeline(0.1, 5)
-    assert tally == {"full": 4, "windowed": 0}
+    assert tally == {"full": 0, "windowed": 0, "lowest": 4}
     assert [row[0] for row in result.table.rows] == [3, 4, 5, 6]
     for _, _, _, _, gap, deficit in result.table.rows:
         assert deficit == (1.0 - 0.1) - gap
@@ -202,7 +211,7 @@ def test_droplet_band_solves_each_sector_once(monkeypatch):
 def test_evolve_entropy_makes_no_full_solve(monkeypatch):
     tally = _count_eigensolves(monkeypatch)
     result = evolve_entropy_pipeline(0.1, 4)
-    assert tally == {"full": 0, "windowed": 10}
+    assert tally == {"full": 0, "windowed": 10, "lowest": 0}
     assert result.verdicts["dynamics_stay_below_envelope"]
 
 
@@ -210,7 +219,7 @@ def test_spectrum_pipeline_solves_each_sector_once(monkeypatch):
     reference = ground_state_check(ModelParams(0.1), Lattice(4))
     tally = _count_eigensolves(monkeypatch)
     result = spectrum_pipeline(4, 0.1)
-    assert tally == {"full": 10, "windowed": 0}
+    assert tally == {"full": 10, "windowed": 0, "lowest": 0}
     assert result.verdicts == {"zero_mode_simple": True, "oracle_equivalence": True}
     assert result.values["second_lowest_eigenvalue"] == reference.second_lowest
 
@@ -255,7 +264,7 @@ def test_thresholds_pipeline_solves_the_field_free_margins_once(monkeypatch):
     tally = _count_eigensolves(monkeypatch)
     result = thresholds_pipeline(4, 0.1, seed=0)
     # k = 1, 2, 3 restrict sectors 1..9, 2..8 and 3..7: 21 solves, not 84.
-    assert tally == {"full": 21, "windowed": 0}
+    assert tally == {"full": 21, "windowed": 0, "lowest": 0}
     assert list(result.table.rows) == expected
     assert result.values["worst_margin"] == min(row[2] for row in expected)
 

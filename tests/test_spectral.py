@@ -65,6 +65,28 @@ def test_eigensolve_ising_diagonal():
     assert np.allclose(data.eigenvalues, np.sort(np.diag(matrix.entries)), atol=1e-14)
 
 
+@pytest.mark.parametrize("mode", ["standard", "droplet"])
+def test_eigensolve_of_the_lowest_pairs_matches_the_full_solve(mode):
+    lat = Lattice(4)
+    rng = np.random.default_rng(3)
+    params = ModelParams(0.1, mode, dict(zip(lat.sites, rng.uniform(0.0, 2.0, lat.size))))
+    for n in range(lat.size + 1):
+        matrix = assemble_sector(params, enumerate_sector(lat, n))
+        full = eigensolve(matrix)
+        for lowest in {1, min(3, matrix.dim), matrix.dim}:
+            data = eigensolve(matrix, lowest=lowest)
+            assert data.eigenvectors.shape == (matrix.dim, lowest)
+            assert np.abs(data.eigenvalues - full.eigenvalues[:lowest]).max() <= 1e-12
+            overlap = np.abs(data.eigenvectors.T @ full.eigenvectors[:, :lowest])
+            assert np.abs(overlap - np.eye(lowest)).max() <= 1e-8
+    matrix = assemble_sector(params, enumerate_sector(lat, 2))
+    for lowest in (0, matrix.dim + 1):
+        with pytest.raises(DomainError):
+            eigensolve(matrix, lowest=lowest)
+    with pytest.raises(DomainError):
+        eigensolve(matrix, 1.0, lowest=1)
+
+
 def test_eigensolve_matches_oracle_eigenvalues():
     lat = Lattice(2)
     params = ModelParams(delta_inv=0.2)

@@ -13,12 +13,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from loop_oracle import assemble_sector_loop, window_floors_loop, window_stack_uncached
 
-from droplet_lab import hamiltonian
+from droplet_lab import hamiltonian, spectral
 from droplet_lab.configspace import Lattice, enumerate_sector
 from droplet_lab.entanglement import Bipartition, _stack_layout, _window_stack
 from droplet_lab.hamiltonian import (
     BOUNDARY_MODES,
-    LANCZOS_MIN_DIM,
+    TEMPLATE_CACHE_MAX_DIM,
     ModelParams,
     assemble_sector,
     assemble_sector_sparse,
@@ -85,13 +85,14 @@ def test_window_floors_match_the_loop_bytewise(L, delta_inv, mode, values, e_max
     assert floors.tobytes() == window_floors_loop(params, lattice, e_max).tobytes()
 
 
-def test_templates_are_cached_only_up_to_the_lanczos_dimension():
+def test_templates_are_cached_only_up_to_their_bound():
+    # The 715-row sector n=4 at L=6 is solved by Lanczos and still cached.
     lattice = Lattice(6)
     params = ModelParams(0.1)
     hamiltonian._template_cache.clear()
     small, large = enumerate_sector(lattice, 4), enumerate_sector(lattice, 6)
-    assert len(small) <= LANCZOS_MIN_DIM < len(large)
-    assemble_sector(params, small)
+    assert spectral.LANCZOS_MIN_DIM < len(small) <= TEMPLATE_CACHE_MAX_DIM < len(large)
+    assemble_sector_sparse(params, small)
     assemble_sector_sparse(params, large)
     assert set(hamiltonian._template_cache) == {(6, 4)}
 
