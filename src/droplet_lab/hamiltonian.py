@@ -224,26 +224,14 @@ def assemble_full_oracle(params: ModelParams, lattice: Lattice) -> np.ndarray:
     s2 = scipy.sparse.csr_array(np.array([[0.0, -0.5j], [0.5j, 0.0]], dtype=complex))
     s3 = scipy.sparse.csr_array(np.array([[0.5, 0.0], [0.0, -0.5]], dtype=complex))
 
-    def identity(sites: int) -> scipy.sparse.csr_array:
-        return scipy.sparse.eye_array(1 << sites, dtype=complex, format="csr")
+    i2 = scipy.sparse.eye_array(2, dtype=complex, format="csr")
 
     def lifted(ops: dict[int, scipy.sparse.csr_array]) -> scipy.sparse.csr_array:
-        # A run of identity factors is lifted as one identity of its size.
-        factors, run = [], 0
-        for s in lattice.sites:
-            if s not in ops:
-                run += 1
-                continue
-            if run:
-                factors.append(identity(run))
-            factors.append(ops[s])
-            run = 0
-        if run:
-            factors.append(identity(run))
+        factors = [ops.get(s, i2) for s in lattice.sites]
         return reduce(lambda a, b: scipy.sparse.kron(a, b, format="csr"), factors)
 
     dim = 1 << N
-    eye = identity(N)
+    eye = scipy.sparse.eye_array(dim, dtype=complex, format="csr")
     H = scipy.sparse.csr_array((dim, dim), dtype=complex)
     for x in range(-lattice.L, lattice.L):
         H -= params.delta_inv * lifted({x: s1, x + 1: s1})

@@ -49,10 +49,14 @@ LANCZOS_DIM_CAP = 250_000
 # Windowed solves of sectors above LANCZOS_MIN_DIM use implicitly restarted
 # Lanczos (ARPACK through scipy.sparse.linalg.eigsh), one call sized by the
 # Gershgorin count (`_window_count`); smaller sectors, and every full solve,
-# stay dense.  On the field-free chain with one BLAS thread, sparse assembly
-# and one call take 6.2 ms at dim 286 against 4.9 ms for the dense windowed
-# solve, and 5.0 against 6.1 ms at dim 330 (11 against 37 ms at dim 715).
-LANCZOS_MIN_DIM = 300
+# stay dense.  With one BLAS thread, sparse assembly and the Lanczos solve
+# against the dense windowed solve, summed over 12 seeded uniform fields on
+# [0, 2] in `disorder-dos`'s window (the droplet edge plus 2): 71 against
+# 75 ms at dim 330, 192 against 173 ms at dim 455, 301 against 459 ms at
+# dim 680 and 94 against 426 ms at dim 715.  In the droplet window and on
+# the field-free chain Lanczos is ahead from dim 330.  The threshold lies
+# between 455 and 680, so every sector at L <= 5 stays dense.
+LANCZOS_MIN_DIM = 500
 EDGE_TIE_TOL = 1e-12
 # The windowed solve asks LAPACK for a slightly wider interval than the
 # closed window and then applies the window's own mask, so an eigenvalue on
@@ -77,7 +81,9 @@ class SpectralData:
     """Ascending eigenvalues with the matching orthonormal eigenvector columns.
 
     A full solve holds every eigenpair of `matrix`, a windowed solve only the
-    eigenpairs inside its window.  Columns are sign-canonical (SIGN_TOL).
+    eigenpairs inside its window, and a solve of the lowest k pairs
+    (`eigensolve(matrix, lowest=k)`) the k smallest.  Columns are
+    sign-canonical (SIGN_TOL).
     """
 
     eigenvalues: np.ndarray
@@ -122,21 +128,36 @@ def _window_count(entries, row_sums: np.ndarray, hi: float) -> int:
     return int(np.count_nonzero(diagonal - (row_sums - np.abs(diagonal)) <= hi))
 
 
+def _diagonal_window(diagonal: np.ndarray, lo: float, hi: float):
+    """In-window eigenpairs of a diagonal matrix: its entries in the window, with unit vectors.
+
+    Each Gershgorin disc is a point, so the count of `_window_count` is the
+    rank of the window and no Lanczos call is needed (a Krylov space would
+    hold one vector of each degenerate eigenvalue only).
+    """
+    rows = np.flatnonzero((diagonal >= lo) & (diagonal <= hi))
+    rows = rows[np.argsort(diagonal[rows], kind="stable")]
+    vectors = np.zeros((len(diagonal), len(rows)))
+    vectors[rows, np.arange(len(rows))] = 1.0
+    return diagonal[rows], vectors
+
+
 def _lanczos_window(entries, lo: float, hi: float, count: int):
     """In-window eigenpairs of a large sector by one Lanczos call, or None.
 
     `count` bounds the eigenvalues at or below `hi` (`_window_count`), so the
     count + 1 smallest eigenpairs hold the whole window; if the largest of
     them lies inside it, the count was wrong and NumericError is raised.  A
-    window of `count` pairs is complete by the bound.  A shorter one may
-    also lack copies of a degenerate eigenvalue, since a Krylov space holds
-    one vector per eigenspace (the diagonal chain at delta_inv = 0 shows
-    it).  A copy would sit at an eigenvalue the call found, so an empty
-    window is complete too; any other short window returns None, as does a
-    count + 1 that reaches dim - 1, where ARPACK stops.  The start vector is
-    seeded by the dimension alone: ARPACK's own start depends on earlier
-    calls, and a reflection-symmetric start (such as all ones) would keep the
-    Krylov space inside one parity sector of the field-free chain.
+    window of `count` pairs is complete by the bound, and so is an empty one.
+    A window holding some but fewer pairs may lack copies of a degenerate
+    eigenvalue, since a Krylov space holds one vector per eigenspace; a
+    second call on the matrix with the found pairs shifted above `hi`, from
+    another start, checks it (`_holds_the_rest`).  A window that fails the
+    check returns None, as does a count + 1 that reaches dim - 1, where
+    ARPACK stops.  The start vectors are seeded by the dimension alone:
+    ARPACK's own start depends on earlier calls, and a reflection-symmetric
+    start (such as all ones) would keep the Krylov space inside one parity
+    sector of the field-free chain.
     """
     import scipy.sparse.linalg  # imported here: only large sectors need it
 
@@ -159,10 +180,37 @@ def _lanczos_window(entries, lo: float, hi: float, count: int):
             f"({w[-1]!r}) lies inside the window edge {hi!r}"
         )
     inside = w <= hi
-    if 0 < np.count_nonzero(inside) < count:
+    if 0 < np.count_nonzero(inside) < count and not _holds_the_rest(
+        entries, w[inside], v[:, inside], hi
+    ):
         return None
     keep = inside & (w >= lo)
     return w[keep], v[:, keep]
+
+
+def _holds_the_rest(entries, w: np.ndarray, v: np.ndarray, hi: float) -> bool:
+    """Whether the pairs (w, v) are all the eigenpairs at or below `hi`.
+
+    The matrix plus (hi + 1 - min w) v v^T moves the found eigenvalues above
+    `hi` and keeps the others; its lowest eigenvalue lies above `hi` exactly
+    when none was missed.  The start differs from the first call's, whose
+    component in a degenerate eigenspace is the vector already found there.
+    """
+    import scipy.sparse.linalg
+
+    dim = entries.shape[0]
+    shift = hi + 1.0 - w[0]
+    deflated = scipy.sparse.linalg.LinearOperator(
+        (dim, dim), matvec=lambda x: entries @ x + shift * (v @ (v.T @ x)), dtype=float
+    )
+    start = np.random.default_rng([dim, 1]).standard_normal(dim)
+    try:
+        lowest = scipy.sparse.linalg.eigsh(
+            deflated, k=1, which="SA", v0=start, return_eigenvectors=False
+        )
+    except scipy.sparse.linalg.ArpackError as exc:  # pragma: no cover
+        raise NumericError(f"Lanczos eigensolve failed: {exc}") from exc
+    return bool(lowest[0] > hi)
 
 
 def eigensolve(
@@ -179,7 +227,10 @@ def eigensolve(
     block on those rows has every eigenvalue above it, and by min-max at most
     c eigenvalues of the sector lie in the window.  A Lanczos window holding
     some but fewer than c eigenpairs may lack copies of a degenerate
-    eigenvalue, and the sector is solved densely instead.  With `lowest` only
+    eigenvalue; a second call checks it, and a window failing the check is
+    solved densely.  A diagonal sector (no off-diagonal weight, as at
+    delta_inv = 0) above LANCZOS_MIN_DIM has its window read off the
+    diagonal, with no dense solve.  With `lowest` only
     the `lowest` smallest eigenpairs are computed, by LAPACK.  Full solves are
     dense.  `matrix.entries` may be dense or a sparse array; a dense solve
     densifies a sparse one.
@@ -203,7 +254,11 @@ def eigensolve(
     found = None
     if hi is not None and dim > LANCZOS_MIN_DIM:
         _require_dim(dim, LANCZOS_DIM_CAP, "Lanczos")
-        found = _lanczos_window(entries, lo, hi, _window_count(entries, row_sums, hi))
+        diagonal = entries.diagonal()
+        if np.array_equal(row_sums, np.abs(diagonal)):
+            found = _diagonal_window(diagonal, lo, hi)
+        else:
+            found = _lanczos_window(entries, lo, hi, _window_count(entries, row_sums, hi))
     if found is not None:
         w, v = found
     else:

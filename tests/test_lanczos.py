@@ -6,8 +6,10 @@ of sectors above LANCZOS_MIN_DIM with one Lanczos call for c + 1 eigenpairs,
 c being the rows whose Gershgorin disc reaches the window edge
 (`_window_count`).  These tests check that c bounds the window, compare the
 solve with the dense windowed `eigh` it replaces, on the field-free chain
-(whose edge pairs are degenerate to rounding) and on seeded fields, and
-check that a count too low raises instead of dropping an eigenpair.
+(whose edge pairs are degenerate to rounding) and on seeded fields, check
+that a count too low raises instead of dropping an eigenpair, and that a
+window short of its count is kept only when a second call finds nothing
+more in it.
 """
 
 import functools
@@ -79,6 +81,18 @@ def _dense_window(entries, lo, hi):
 
 def _count(entries, hi):
     return _window_count(entries, abs(entries).sum(axis=1), hi)
+
+
+def _count_eigsh(monkeypatch):
+    calls = []
+    eigsh = scipy.sparse.linalg.eigsh
+
+    def counting(entries, **kwargs):
+        calls.append(entries.shape[0])
+        return eigsh(entries, **kwargs)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", counting)
+    return calls
 
 
 @functools.cache
@@ -177,14 +191,7 @@ def test_lanczos_window_matches_dense_eigvalsh(L, delta_inv, values):
 def test_one_lanczos_call_per_large_sector_of_the_clean_chain(L, monkeypatch):
     lattice, params = _params(L, None)
     dims = [len(enumerate_sector(lattice, n)) for n in range(lattice.size + 1)]
-    calls = []
-    eigsh = scipy.sparse.linalg.eigsh
-
-    def counting(entries, **kwargs):
-        calls.append(entries.shape[0])
-        return eigsh(entries, **kwargs)
-
-    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", counting)
+    calls = _count_eigsh(monkeypatch)
     projector = droplet_projector(params, lattice, auto_window(params))
     assert sorted(calls) == sorted(d for d in dims if d > LANCZOS_MIN_DIM)
     assert projector.rank == {6: 92, 7: 121}[L]
@@ -262,24 +269,62 @@ def test_window_holding_the_spectrum_falls_back_to_dense(monkeypatch):
     assert np.array_equal(data.eigenvectors, reference.eigenvectors)
 
 
-def test_a_window_short_of_the_count_is_solved_densely(monkeypatch):
+def test_a_degenerate_window_short_of_its_copies_fails_the_check(monkeypatch):
     # At delta_inv = 0 the sector is diagonal and its window eigenvalue 1 is
-    # six-fold; the Krylov space misses copies of it, so the window found
-    # holds fewer pairs than the count and is not used.
+    # six-fold; the Krylov space of the first call misses copies of it, the
+    # second call finds one, and the window is not used.
+    lattice = Lattice(4)
+    params = ModelParams(0.0)
+    matrix = assemble_sector_sparse(params, enumerate_sector(lattice, 4))
+    hi = auto_window(params).e_max + EDGE_TIE_TOL
+    assert _count(matrix.entries, hi) == 6
+    calls = _count_eigsh(monkeypatch)
+    assert _lanczos_window(matrix.entries, -EDGE_TIE_TOL, hi, 6) is None
+    assert len(calls) == 2
+
+
+def test_a_short_window_that_passes_the_check_stays_lanczos(monkeypatch):
+    # Sample 0 of `disorder-dos --L 6` at seed 0, sector n=4, in the droplet
+    # window widened by twice the field mean: three rows have a disc reaching
+    # the edge and two eigenvalues lie in the window.
+    lattice, params = _params(6, 0)
+    basis = enumerate_sector(lattice, 4)
+    matrix = assemble_sector_sparse(params, basis)
+    lo, hi = -EDGE_TIE_TOL, auto_window(ModelParams(0.1)).e_max + 2.0 + EDGE_TIE_TOL
+    assert _count(matrix.entries, hi) == 3
+    calls = _count_eigsh(monkeypatch)
+    w_l, v_l = _lanczos_window(matrix.entries, lo, hi, 3)
+    assert calls == [len(basis), len(basis)]
+    w, v = _dense_window(assemble_sector(params, basis).entries, lo, hi)
+    assert len(w_l) == len(w) == 2
+    assert np.abs(w_l - w).max() <= 1e-12
+    assert np.abs(v_l @ v_l.T - v @ v.T).max() <= 1e-10
+
+
+def test_a_diagonal_sector_is_read_off_its_diagonal(monkeypatch):
     lattice = Lattice(4)
     params = ModelParams(0.0)
     e_max = auto_window(params).e_max
     basis = enumerate_sector(lattice, 4)
-    matrix = assemble_sector_sparse(params, basis)
-    hi = e_max + EDGE_TIE_TOL
-    assert _count(matrix.entries, hi) == 6
-    assert _lanczos_window(matrix.entries, -EDGE_TIE_TOL, hi, 6) is None
     reference = eigensolve(assemble_sector(params, basis), e_max)
+    calls = _count_eigsh(monkeypatch)
     monkeypatch.setattr(spectral, "LANCZOS_MIN_DIM", 2)
-    data = eigensolve(matrix, e_max)
-    assert len(data.eigenvalues) == 6
+    data = eigensolve(assemble_sector_sparse(params, basis), e_max)
+    assert calls == []
     assert np.array_equal(data.eigenvalues, reference.eigenvalues)
-    assert np.array_equal(data.eigenvectors, reference.eigenvectors)
+    v, ref = data.eigenvectors, reference.eigenvectors
+    assert np.abs(v @ v.T - ref @ ref.T).max() <= 1e-12
+
+
+def test_the_ising_limit_window_above_the_dense_cap():
+    # Sector n=7 at L=8 has 19 448 rows, above SECTOR_DIM_CAP; its window
+    # holds the 11 single clusters.
+    lattice = Lattice(8)
+    params = ModelParams(0.0)
+    matrix = assemble_sector_sparse(params, enumerate_sector(lattice, 7))
+    assert matrix.dim > spectral.SECTOR_DIM_CAP
+    data = eigensolve(matrix, auto_window(params).e_max)
+    assert np.array_equal(data.eigenvalues, np.ones(lattice.size - 7 + 1))
 
 
 def test_an_empty_window_under_a_loose_count_stays_lanczos():
