@@ -224,25 +224,28 @@ def assemble_full_oracle(params: ModelParams, lattice: Lattice) -> np.ndarray:
     s2 = scipy.sparse.csr_array(np.array([[0.0, -0.5j], [0.5j, 0.0]], dtype=complex))
     s3 = scipy.sparse.csr_array(np.array([[0.5, 0.0], [0.0, -0.5]], dtype=complex))
 
-    i2 = scipy.sparse.eye_array(2, dtype=complex, format="csr")
+    def identity(sites: int) -> scipy.sparse.csr_array:
+        return scipy.sparse.eye_array(1 << sites, dtype=complex, format="csr")
 
-    def lifted(ops: dict[int, scipy.sparse.csr_array]) -> scipy.sparse.csr_array:
-        factors = [ops.get(s, i2) for s in lattice.sites]
+    def lifted(x: int, *ops: scipy.sparse.csr_array) -> scipy.sparse.csr_array:
+        # ops act on sites x, x + 1, ...; the sites left and right of them carry identities.
+        left = x + lattice.L
+        factors = [identity(left), *ops, identity(N - left - len(ops))]
         return reduce(lambda a, b: scipy.sparse.kron(a, b, format="csr"), factors)
 
     dim = 1 << N
-    eye = scipy.sparse.eye_array(dim, dtype=complex, format="csr")
+    eye = identity(N)
     H = scipy.sparse.csr_array((dim, dim), dtype=complex)
     for x in range(-lattice.L, lattice.L):
-        H -= params.delta_inv * lifted({x: s1, x + 1: s1})
-        H -= params.delta_inv * lifted({x: s2, x + 1: s2})
-        H -= lifted({x: s3, x + 1: s3}) - 0.25 * eye
+        H -= params.delta_inv * lifted(x, s1, s1)
+        H -= params.delta_inv * lifted(x, s2, s2)
+        H -= lifted(x, s3, s3) - 0.25 * eye
     beta = params.beta
-    H += beta * (eye - lifted({-lattice.L: s3}) - lifted({lattice.L: s3}))
+    H += beta * (eye - lifted(-lattice.L, s3) - lifted(lattice.L, s3))
     for x in lattice.sites:
         b = params.field_value(x)
         if b:
-            H += b * (0.5 * eye - lifted({x: s3}))
+            H += b * (0.5 * eye - lifted(x, s3))
     full = H.toarray()
     if np.abs(full.imag).max() > 1e-12:
         raise AssertionError("oracle matrix acquired an imaginary part")
