@@ -27,8 +27,8 @@ from .errors import DomainError, ResourceError
 BOUNDARY_MODES = ("standard", "droplet")
 
 _FULL_ORACLE_MAX_SITES = 14
-# Templates of sectors up to this dimension are cached; larger ones, which
-# only the clean chain's Lanczos solves reach, are rebuilt on every call.
+# Templates of sectors up to this dimension are cached; larger ones are
+# rebuilt on every call.
 TEMPLATE_CACHE_MAX_DIM = 1000
 
 
